@@ -22,17 +22,12 @@ import (
 // drivers maps each hotlist entry method to the call that exercises it
 // for one record. Predict and Train fire on conditional branches,
 // TrackOther on everything else — together they cover the per-branch
-// protocol the engine runs (DESIGN.md §7). The staged entries run the
-// same record through the interleaved driver's protocol (DESIGN.md
-// §13): the three predict stages, the split train halves and the
-// batched history advance. They no-op for registry adapters that are
-// not composites (the engine's interleaved path falls back to the
-// serial driver for those).
+// protocol the engine runs (DESIGN.md §7). TrainTables and SpecPush
+// are the two halves of Train that the speculative pipeline model
+// (internal/sim/spec.go) calls separately; they no-op for registry
+// adapters that are not composites, which have no speculative hooks.
 func drivers(p predictor.Predictor) map[string]func(trace.Record) {
 	comp, _ := p.(*predictor.Composite)
-	var adv predictor.Advancer
-	cs := []*predictor.Composite{comp}
-	ev := make([]predictor.Advance, 1)
 	return map[string]func(trace.Record){
 		"Predict": func(r trace.Record) {
 			if r.Conditional() {
@@ -49,21 +44,6 @@ func drivers(p predictor.Predictor) map[string]func(trace.Record) {
 				p.TrackOther(r.PC, r.Target, r.Kind, r.Taken)
 			}
 		},
-		"PredictStage1": func(r trace.Record) {
-			if comp != nil && r.Conditional() {
-				comp.PredictStage1(r.PC)
-			}
-		},
-		"PredictStage2": func(r trace.Record) {
-			if comp != nil && r.Conditional() {
-				comp.PredictStage2()
-			}
-		},
-		"PredictStage3": func(r trace.Record) {
-			if comp != nil && r.Conditional() {
-				comp.PredictStage3()
-			}
-		},
 		"TrainTables": func(r trace.Record) {
 			if comp != nil && r.Conditional() {
 				comp.TrainTables(r.PC, r.Target, r.Taken)
@@ -73,13 +53,6 @@ func drivers(p predictor.Predictor) map[string]func(trace.Record) {
 			if comp != nil && r.Conditional() {
 				comp.SpecPush(r.PC, r.Target, r.Taken)
 			}
-		},
-		"Advance": func(r trace.Record) {
-			if comp == nil {
-				return
-			}
-			ev[0] = predictor.Advance{PC: r.PC, Target: r.Target, Taken: r.Taken, Conditional: r.Conditional()}
-			adv.Advance(cs, ev)
 		},
 	}
 }

@@ -150,32 +150,6 @@ func benchPredictor(b *testing.B, config string) {
 	_ = miss
 }
 
-// BenchmarkPredictReferenceTAGESCLIMLI measures the monolithic
-// (pre-staging) predict/train path kept in predictor/reference.go as
-// the property-test oracle, so the staged pipeline's N=1 overhead is
-// directly visible on the same box and workload.
-func BenchmarkPredictReferenceTAGESCLIMLI(b *testing.B) {
-	bench, err := workload.ByName("SPEC2K6-12")
-	if err != nil {
-		b.Fatal(err)
-	}
-	var recs []trace.Record
-	bench.Generate(1<<16, func(r trace.Record) { recs = append(recs, r) })
-	n := len(recs)
-	p := predictor.MustNew("tage-sc-l+imli").(*predictor.Composite)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := recs[i%n]
-		if r.Conditional() {
-			p.PredictReference(r.PC)
-			p.TrainReference(r.PC, r.Target, r.Taken)
-		} else {
-			p.TrackOther(r.PC, r.Target, r.Kind, r.Taken)
-		}
-	}
-}
-
 func BenchmarkPredictBimodal(b *testing.B)     { benchPredictor(b, "bimodal") }
 func BenchmarkPredictGshare(b *testing.B)      { benchPredictor(b, "gshare") }
 func BenchmarkPredictGEHL(b *testing.B)        { benchPredictor(b, "gehl") }
@@ -185,68 +159,6 @@ func BenchmarkPredictTAGEGSCIMLI(b *testing.B) { benchPredictor(b, "tage-gsc+iml
 func BenchmarkPredictTAGESCL(b *testing.B)     { benchPredictor(b, "tage-sc-l") }
 func BenchmarkPredictTAGESCLIMLI(b *testing.B) { benchPredictor(b, "tage-sc-l+imli") }
 func BenchmarkPredictTAGEGSCWH(b *testing.B)   { benchPredictor(b, "tage-gsc+wh") }
-
-// benchPredictBatch measures the staged hot path advancing n
-// independent streams in lockstep (DESIGN.md §13): per round, stage-1
-// index math for all n streams, then all their table loads, then all
-// combines and trains, then the batched history advance — so one
-// stream's cache misses hide behind another's. n=1 is the staged
-// pipeline without interleaving (the overhead floor); ns/op is per
-// branch record in all cases. The N=1,2,4,8 scaling curve is recorded
-// in BENCH_predict.json.
-func benchPredictBatch(b *testing.B, n int) {
-	b.Helper()
-	bench, err := workload.ByName("SPEC2K6-12")
-	if err != nil {
-		b.Fatal(err)
-	}
-	streams := make([][]trace.Record, n)
-	comps := make([]*predictor.Composite, n)
-	for k := 0; k < n; k++ {
-		var recs []trace.Record
-		bench.Reseeded(int64(k)).Generate(1<<16, func(r trace.Record) { recs = append(recs, r) })
-		streams[k] = recs
-		comps[k] = predictor.MustNew("tage-sc-l+imli").(*predictor.Composite)
-	}
-	cs := make([]*predictor.Composite, n)
-	copy(cs, comps)
-	adv := make([]predictor.Advance, n)
-	var a predictor.Advancer
-	pos := make([]int, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += n {
-		for k, c := range comps {
-			if r := streams[k][pos[k]]; r.Conditional() {
-				c.PredictStage1(r.PC)
-			}
-		}
-		for k, c := range comps {
-			if streams[k][pos[k]].Conditional() {
-				c.PredictStage2()
-			}
-		}
-		for k, c := range comps {
-			r := streams[k][pos[k]]
-			if r.Conditional() {
-				c.PredictStage3()
-				c.TrainTables(r.PC, r.Target, r.Taken)
-				adv[k] = predictor.Advance{PC: r.PC, Target: r.Target, Taken: r.Taken, Conditional: true}
-			} else {
-				adv[k] = predictor.Advance{PC: r.PC, Target: r.Target, Taken: r.Taken}
-			}
-			if pos[k]++; pos[k] == len(streams[k]) {
-				pos[k] = 0
-			}
-		}
-		a.Advance(cs, adv)
-	}
-}
-
-func BenchmarkPredictBatch1(b *testing.B) { benchPredictBatch(b, 1) }
-func BenchmarkPredictBatch2(b *testing.B) { benchPredictBatch(b, 2) }
-func BenchmarkPredictBatch4(b *testing.B) { benchPredictBatch(b, 4) }
-func BenchmarkPredictBatch8(b *testing.B) { benchPredictBatch(b, 8) }
 
 // BenchmarkWorkloadGeneration measures trace generation throughput.
 func BenchmarkWorkloadGeneration(b *testing.B) {

@@ -7,9 +7,9 @@ import (
 
 // This file holds the worker-pull work-queue wire types and calls
 // (DESIGN.md §14, docs/API.md): a coordinator-mode imlid exposes its
-// engine's work items under /v1/work/, and worker processes
-// (cmd/imliworker, or imlid -worker) lease items, simulate them with a
-// local engine, and post completions. The endpoints share the /v1
+// engine's work items under /v1/work/, and worker processes (imlid
+// -worker) lease items, simulate them with a local engine, and post
+// completions. The endpoints share the /v1
 // JSON-envelope conventions but are not rate-limited — workers are
 // trusted infrastructure, and throttling them would throttle every
 // job on the coordinator.

@@ -23,10 +23,10 @@
 //
 // With -coordinator the daemon's engine stops simulating in-process
 // and instead serves its work items as a worker-pull queue under
-// /v1/work/ (DESIGN.md §14); worker processes (cmd/imliworker, or
-// imlid -worker <url>) lease items, simulate them locally, and post
-// results back. Distributed results are bit-identical to in-process
-// runs; a worker lost mid-item is re-dispatched after -lease-ttl.
+// /v1/work/ (DESIGN.md §14); worker processes (imlid -worker <url>)
+// lease items, simulate them locally, and post results back.
+// Distributed results are bit-identical to in-process runs; a worker
+// lost mid-item is re-dispatched after -lease-ttl.
 //
 // Usage:
 //
@@ -100,13 +100,16 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		}
 		return err
 	}
-	if err := dflags.Validate(eng.Interleave); err != nil {
+	if err := dflags.Validate(); err != nil {
 		return err
 	}
 	if *once && (dflags.Coordinator || dflags.WorkerURL != "") {
 		return fmt.Errorf("-once is an in-process self-test; it does not combine with -coordinator or -worker")
 	}
 	if dflags.WorkerURL != "" {
+		if err := checkWorkerFlags(fs); err != nil {
+			return err
+		}
 		return runWorker(stdout, dflags.WorkerURL, eng)
 	}
 	if err := cliflags.Positive("job-workers", *jobWorkers); err != nil {
@@ -206,13 +209,35 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	}
 }
 
+// workerFlags are the flags worker mode honors: the coordinator URL and
+// the worker's local engine resources. Item geometry (shards, budget,
+// warm-up, exact chaining) arrives with each lease, and every other
+// flag configures the HTTP server or the coordinator, neither of which
+// a worker runs.
+var workerFlags = map[string]bool{"worker": true, "parallel": true, "cache-dir": true, "stream-mem": true, "snapshots": true}
+
+// checkWorkerFlags rejects an explicitly set flag that worker mode
+// would ignore, naming it, so a misdirected deployment fails at start
+// instead of running without the setting it asked for.
+func checkWorkerFlags(fs *flag.FlagSet) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && !workerFlags[f.Name] {
+			err = fmt.Errorf("-%s does not apply to a worker (-worker): it takes only -parallel, -cache-dir, -stream-mem and -snapshots", f.Name)
+		}
+	})
+	return err
+}
+
 // runWorker runs the daemon as a worker-fleet member: lease loops
 // pulling work items from the coordinator at baseURL until SIGINT or
-// SIGTERM. The worker's engine flags are its own (-parallel bounds
-// concurrent simulations, -cache-dir keeps its warm local store);
-// item geometry — shards, budgets, warm-up — comes from each leased
-// item. Killing a worker at any instant is safe: its leases expire
-// and the coordinator re-dispatches the items.
+// SIGTERM, one loop per -parallel slot (a further loop would only hold
+// a lease while waiting on the engine's worker bound). The worker's
+// engine flags are its own (-parallel bounds concurrent simulations,
+// -cache-dir keeps its warm local store); item geometry — shards,
+// budgets, warm-up — comes from each leased item. Killing a worker at
+// any instant is safe: its leases expire and the coordinator
+// re-dispatches the items.
 func runWorker(stdout io.Writer, baseURL string, eng *cliflags.Engine) error {
 	url, err := cliflags.ParseWorkerURL(baseURL)
 	if err != nil {

@@ -57,6 +57,7 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-drain-timeout=0s", "-once"}, "-drain-timeout"},
 		{[]string{"-drain-timeout=-5s", "-once"}, "-drain-timeout"},
 		{[]string{"-rate-limit=-1", "-once"}, "-rate-limit"},
+		{[]string{"-parallel=-3", "-once"}, "-parallel"},
 	}
 	for _, tc := range cases {
 		err := run(tc.args, io.Discard, io.Discard)
@@ -66,6 +67,33 @@ func TestFlagValidation(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("run(%v) error %q does not name the offending flag %s", tc.args, err, tc.want)
+		}
+	}
+}
+
+// TestWorkerRejectsOtherRolesFlags checks that worker mode refuses the
+// server's and the coordinator's flags by name instead of polling
+// without them. The accepted case uses a bad URL scheme so run returns
+// at the URL check, after the flag check passed, instead of polling.
+func TestWorkerRejectsOtherRolesFlags(t *testing.T) {
+	cases := []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-lease-ttl=5m"}, "-lease-ttl"},
+		{[]string{"-job-workers=9"}, "-job-workers"},
+		{[]string{"-addr=:9"}, "-addr"},
+		{[]string{"-journal=j", "-no-journal"}, "-journal"},
+		{[]string{"-rate-limit=5"}, "-rate-limit"},
+		{[]string{"-shards=4"}, "-shards"},
+		{[]string{"-exact-shards"}, "-exact-shards"},
+		{[]string{"-parallel=2", "-cache-dir=d", "-stream-mem=8", "-snapshots"}, "scheme"},
+	}
+	for _, tc := range cases {
+		args := append([]string{"-worker", "ftp://host:1"}, tc.flags...)
+		err := run(args, io.Discard, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v) = %v, want error mentioning %s", args, err, tc.want)
 		}
 	}
 }
@@ -198,23 +226,18 @@ func TestCrashRestartReplay(t *testing.T) {
 }
 
 // TestDistributedSmoke is the end-to-end distributed contract
-// (DESIGN.md §14) with real processes: an imlid -coordinator daemon,
-// two imliworker fleet members, one of them SIGKILLed mid-run. The
-// coordinator re-dispatches the lost worker's leases after -lease-ttl,
-// the survivor finishes the suite, and the job result is bit-identical
-// to the same spec run directly on a local engine.
+// (DESIGN.md §14) with real processes: an imlid -coordinator daemon
+// and two imlid -worker fleet members, one of them SIGKILLed mid-run.
+// The coordinator re-dispatches the lost worker's leases after
+// -lease-ttl, the survivor finishes the suite, and the job result is
+// bit-identical to the same spec run directly on a local engine.
 func TestDistributedSmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds two real binaries and kill -9s a worker")
+		t.Skip("builds the imlid binary and kill -9s a worker")
 	}
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "imlid")
-	wbin := filepath.Join(dir, "imliworker")
-	for target, pkg := range map[string]string{bin: ".", wbin: "../imliworker"} {
-		build := exec.Command("go", "build", "-o", target, pkg)
-		if out, err := build.CombinedOutput(); err != nil {
-			t.Fatalf("go build %s: %v\n%s", pkg, err, out)
-		}
+	bin := filepath.Join(t.TempDir(), "imlid")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
 	}
 
 	cmd, base := startDaemon(t, bin, "-coordinator", "-shards=2", "-lease-ttl=1s", "-job-workers=1")
@@ -224,7 +247,7 @@ func TestDistributedSmoke(t *testing.T) {
 	}()
 	workers := make([]*exec.Cmd, 2)
 	for i := range workers {
-		w := exec.Command(wbin, "-coordinator", base, "-slots=2", fmt.Sprintf("-name=w%d", i))
+		w := exec.Command(bin, "-worker", base, "-parallel=2")
 		w.Stdout, w.Stderr = io.Discard, io.Discard
 		if err := w.Start(); err != nil {
 			t.Fatal(err)

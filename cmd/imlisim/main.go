@@ -63,7 +63,6 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	traceFile := fs.String("trace", "", "run an on-disk trace file")
 	branches := fs.Int("branches", 250000, "branch records per synthetic trace")
 	eng := cliflags.Register(fs)
-	cliflags.RegisterInterleave(fs, eng)
 	workers := cliflags.RegisterWorkers(fs)
 	seeds := cliflags.RegisterSeeds(fs)
 	cachePrune := fs.Bool("cache-prune", false, "delete cache entries from stale engine versions under -cache-dir, then exit (unless a run is requested)")
@@ -94,15 +93,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := cliflags.Positive("interleave", eng.Interleave); err != nil {
-		return err
-	}
-	if eng.Interleave > 1 && *traceFile != "" {
-		// -trace runs one stream through the serial reader path; an
-		// interleave factor would be silently ignored there.
-		return fmt.Errorf("-interleave applies to engine suite runs (-suite or -bench), not -trace")
-	}
-	if err := cliflags.ValidateWorkers(*workers, eng.Interleave); err != nil {
+	if err := cliflags.ValidateWorkers(*workers); err != nil {
 		return err
 	}
 	if *workers > 0 && *suite == "" && !*allConfigs {

@@ -231,10 +231,6 @@ func TestFacadeWorkersBitIdentical(t *testing.T) {
 	if _, err := imli.SimulateSuite("gshare", "cbp4", 4000, imli.WithWorkers(0)); err == nil {
 		t.Error("WithWorkers(0) accepted")
 	}
-	if _, err := imli.SimulateSuite("gshare", "cbp4", 4000,
-		imli.WithWorkers(2), imli.WithInterleave(4)); err == nil {
-		t.Error("WithWorkers + WithInterleave accepted")
-	}
 	if _, err := imli.RunExperiment("e1", 2000, imli.WithWorkers(-1)); err == nil {
 		t.Error("RunExperiment WithWorkers(-1) accepted")
 	}

@@ -7,8 +7,10 @@
 package cliflags
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/experiments"
@@ -30,11 +32,6 @@ type Engine struct {
 	// Snapshots is -snapshots; ExactShards is -exact-shards.
 	Snapshots   bool
 	ExactShards bool
-	// Interleave is -interleave: co-resident work items per worker
-	// advanced in lockstep through the staged hot path. Registered by
-	// RegisterInterleave; stays 1 (serial) for tools that do not take
-	// it.
-	Interleave int
 }
 
 // Register adds the shared engine flags to fs with the canonical
@@ -42,7 +39,7 @@ type Engine struct {
 // land in.
 func Register(fs *flag.FlagSet) *Engine {
 	e := &Engine{}
-	fs.IntVar(&e.Parallel, "parallel", 0,
+	fs.Var((*nonNegative)(&e.Parallel), "parallel",
 		"max concurrent shard simulations, engine-wide (0 = GOMAXPROCS)")
 	fs.IntVar(&e.Shards, "shards", 1,
 		"work items per benchmark: split each budget into contiguous stream segments (DESIGN.md §5)")
@@ -54,17 +51,26 @@ func Register(fs *flag.FlagSet) *Engine {
 		"persist predictor-state snapshots and resume longer-budget runs from cached prefixes (needs -cache-dir; DESIGN.md §8)")
 	fs.BoolVar(&e.ExactShards, "exact-shards", false,
 		"chain shard boundary snapshots so sharded results are bit-identical to unsharded runs (implies -snapshots)")
-	e.Interleave = 1
 	return e
 }
 
-// RegisterInterleave adds the shared -interleave flag. Opt-in like
-// RegisterSeeds: only the suite-running tools take it (imlisim,
-// imlibench); single-stream paths (imlisim -trace) reject it, and
-// imlid jobs carry their own parameters.
-func RegisterInterleave(fs *flag.FlagSet, e *Engine) {
-	fs.IntVar(&e.Interleave, "interleave", 1,
-		"simulations each worker advances in lockstep through the staged hot path so their table-load misses overlap; results stay bit-identical (DESIGN.md §13)")
+// nonNegative is an int flag value that rejects negative input while
+// parsing, so every tool registering it gets the check without a
+// validation call of its own.
+type nonNegative int
+
+func (n *nonNegative) String() string { return strconv.Itoa(int(*n)) }
+
+func (n *nonNegative) Set(s string) error {
+	v, err := strconv.ParseInt(s, 0, strconv.IntSize)
+	if err != nil {
+		return errors.New("not an integer")
+	}
+	if v < 0 {
+		return errors.New("must be >= 0 (0 = GOMAXPROCS)")
+	}
+	*n = nonNegative(v)
+	return nil
 }
 
 // RegisterSeeds adds the shared -seeds flag with the canonical wording.
@@ -115,7 +121,6 @@ func (e *Engine) Config() sim.EngineConfig {
 		StreamMemory: sim.StreamMemoryFromMiB(e.StreamMemMiB),
 		Snapshots:    e.Snapshots,
 		ExactShards:  e.ExactShards,
-		Interleave:   e.Interleave,
 	}
 }
 
@@ -130,6 +135,5 @@ func (e *Engine) Params(budget int) experiments.Params {
 		StreamMemory: sim.StreamMemoryFromMiB(e.StreamMemMiB),
 		Snapshots:    e.Snapshots,
 		ExactShards:  e.ExactShards,
-		Interleave:   e.Interleave,
 	}
 }

@@ -39,30 +39,13 @@ func RegisterDist(fs *flag.FlagSet) *Dist {
 	return d
 }
 
-// Validate cross-checks the distributed-mode flags against each other
-// and against -interleave (pass 1 for tools without the flag).
-// Coordinator and worker are exclusive roles, and both bypass the
-// in-process staged pipeline, so an explicit -interleave is a
-// contradiction to surface, not silently ignore.
-func (d *Dist) Validate(interleave int) error {
+// Validate checks the distributed-mode flags: coordinator and worker
+// are exclusive roles, and -lease-ttl must be positive.
+func (d *Dist) Validate() error {
 	if d.Coordinator && d.WorkerURL != "" {
 		return fmt.Errorf("-coordinator and -worker are exclusive: a process either owns the queue or pulls from one")
 	}
-	if err := PositiveDuration("lease-ttl", d.LeaseTTL); err != nil {
-		return err
-	}
-	if interleave > 1 && (d.Coordinator || d.WorkerURL != "") {
-		return fmt.Errorf("-interleave applies to in-process suite runs; a %s does not take it", d.role())
-	}
-	return nil
-}
-
-// role names the selected distributed role for error messages.
-func (d *Dist) role() string {
-	if d.Coordinator {
-		return "coordinator (-coordinator)"
-	}
-	return "worker (-worker)"
+	return PositiveDuration("lease-ttl", d.LeaseTTL)
 }
 
 // ParseWorkerURL validates a coordinator base URL from a -worker or
@@ -93,14 +76,10 @@ func RegisterWorkers(fs *flag.FlagSet) *int {
 		"distribute work items to this many in-process workers over the loopback worker-pull queue (0 = run in-process; DESIGN.md §14)")
 }
 
-// ValidateWorkers cross-checks a parsed -workers count against
-// -interleave (pass 1 for tools without the flag).
-func ValidateWorkers(workers, interleave int) error {
+// ValidateWorkers checks a parsed -workers count.
+func ValidateWorkers(workers int) error {
 	if workers < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", workers)
-	}
-	if workers > 0 && interleave > 1 {
-		return fmt.Errorf("-workers and -interleave are exclusive: the lockstep pipeline is an in-process arrangement")
 	}
 	return nil
 }

@@ -100,7 +100,7 @@ type SIC struct {
 	mask uint64
 	bits int
 
-	stageIdx uint64 //lint:allow snapcomplete staged-predict scratch, dead at branch-boundary snapshot points
+	idx uint64 //lint:allow snapcomplete vote-to-train scratch, dead at branch-boundary snapshot points
 }
 
 // NewSIC returns an IMLI-SIC component reading the shared counter.
@@ -113,29 +113,16 @@ func (s *SIC) index(ctx neural.Ctx) uint64 {
 	return (ctx.PCHash() ^ num.Mix(uint64(s.imli.Count()))) & s.mask
 }
 
-// Vote implements neural.Component.
-func (s *SIC) Vote(ctx neural.Ctx) int { return num.Centered(s.ctr[s.index(ctx)]) }
+// Vote implements neural.Component. The IMLI counter is read here, at
+// predict time; Train reusing the recorded index is exact because the
+// counter only advances at SpecPush, after table training.
+func (s *SIC) Vote(ctx neural.Ctx) int {
+	s.idx = s.index(ctx)
+	return num.Centered(s.ctr[s.idx])
+}
 
 // Train implements neural.Component.
-func (s *SIC) Train(ctx neural.Ctx, taken bool) {
-	i := s.index(ctx)
-	s.ctr[i] = num.SatUpdate(s.ctr[i], taken, s.bits)
-}
-
-// StagePredict implements neural.Staged. The IMLI counter read happens
-// here, at predict time; reusing the recorded index for StageTrain is
-// exact because the counter only advances at SpecPush, after table
-// training.
-func (s *SIC) StagePredict(ctx neural.Ctx) int {
-	i := s.index(ctx)
-	s.stageIdx = i
-	return num.Centered(s.ctr[i])
-}
-
-// StageTrain implements neural.Staged.
-func (s *SIC) StageTrain(_ neural.Ctx, taken bool) {
-	s.ctr[s.stageIdx] = num.SatUpdate(s.ctr[s.stageIdx], taken, s.bits)
-}
+func (s *SIC) Train(taken bool) { s.ctr[s.idx] = num.SatUpdate(s.ctr[s.idx], taken, s.bits) }
 
 // Name implements neural.Component.
 func (s *SIC) Name() string { return "imli-sic" }
@@ -193,7 +180,7 @@ type OH struct {
 	delay   int //lint:allow snapcomplete configuration set once by SetDelay at wiring time
 	pending []pendingWrite
 
-	stageIdx uint64 //lint:allow snapcomplete staged-predict scratch, dead at branch-boundary snapshot points
+	idx uint64 //lint:allow snapcomplete vote-to-train scratch, dead at branch-boundary snapshot points
 }
 
 type pendingWrite struct {
@@ -242,29 +229,16 @@ func (o *OH) index(ctx neural.Ctx) uint64 {
 	return (ctx.PCHash()<<2 ^ outPrevSame<<1 ^ outPrevPrev) & o.ctrMask
 }
 
-// Vote implements neural.Component.
-func (o *OH) Vote(ctx neural.Ctx) int { return num.Centered(o.ctr[o.index(ctx)]) }
+// Vote implements neural.Component. The outer-history and PIPE reads
+// that feed the index happen here; Train reusing the recorded index is
+// exact because UpdateHistory runs after table training.
+func (o *OH) Vote(ctx neural.Ctx) int {
+	o.idx = o.index(ctx)
+	return num.Centered(o.ctr[o.idx])
+}
 
 // Train implements neural.Component.
-func (o *OH) Train(ctx neural.Ctx, taken bool) {
-	i := o.index(ctx)
-	o.ctr[i] = num.SatUpdate(o.ctr[i], taken, o.bits)
-}
-
-// StagePredict implements neural.Staged. The outer-history and PIPE
-// reads that feed the index happen here; reusing the recorded index
-// for StageTrain is exact because UpdateHistory runs after table
-// training.
-func (o *OH) StagePredict(ctx neural.Ctx) int {
-	i := o.index(ctx)
-	o.stageIdx = i
-	return num.Centered(o.ctr[i])
-}
-
-// StageTrain implements neural.Staged.
-func (o *OH) StageTrain(_ neural.Ctx, taken bool) {
-	o.ctr[o.stageIdx] = num.SatUpdate(o.ctr[o.stageIdx], taken, o.bits)
-}
+func (o *OH) Train(taken bool) { o.ctr[o.idx] = num.SatUpdate(o.ctr[o.idx], taken, o.bits) }
 
 // UpdateHistory records the resolved outcome in the outer-history
 // table and rotates the overwritten bit into the PIPE vector. Unlike

@@ -83,7 +83,7 @@ func TestSICLearnsSameIterationPattern(t *testing.T) {
 					miss++
 				}
 			}
-			sic.Train(ctx, want)
+			sic.Train(want)
 			// Inner loop backward branch.
 			m.Observe(backPC, backTgt, mIt < len(pattern)-1)
 		}
@@ -169,7 +169,7 @@ func TestOHLearnsDiagonalCorrelation(t *testing.T) {
 						miss++
 					}
 				}
-				oh.Train(ctx, want)
+				oh.Train(want)
 				oh.UpdateHistory(branchPC, want)
 				m.Observe(backPC, backTgt, mIt < inner-1)
 			}
@@ -201,7 +201,7 @@ func TestOHLearnsInvertedCorrelation(t *testing.T) {
 					miss++
 				}
 			}
-			oh.Train(ctx, want)
+			oh.Train(want)
 			oh.UpdateHistory(branchPC, want)
 			m.Observe(backPC, backTgt, mIt < inner-1)
 		}

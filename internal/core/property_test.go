@@ -56,8 +56,9 @@ func TestOHIndexBounds(t *testing.T) {
 		if int(hi) >= len(oh.hist) || pi >= uint64(len(oh.ctr)) {
 			return false
 		}
+		oh.Vote(neural.Ctx{PC: pc})
+		oh.Train(taken)
 		oh.UpdateHistory(pc, taken)
-		oh.Train(neural.Ctx{PC: pc}, taken)
 		m.Observe(0x1000, 0x0f00, false) // reset for the next case
 		return true
 	}

@@ -58,9 +58,9 @@ func TestSICOHSnapshotRoundTrip(t *testing.T) {
 			if check != nil {
 				check(i, votes)
 			}
-			sic.Train(ctx, taken)
-			oh.Train(ctx, taken)
-			ohd.Train(ctx, taken)
+			sic.Train(taken)
+			oh.Train(taken)
+			ohd.Train(taken)
 			oh.UpdateHistory(pc, taken)
 			ohd.UpdateHistory(pc, taken)
 			imli.Observe(pc, pc-64, taken)

@@ -2,7 +2,7 @@
 // (DESIGN.md §14): a Coordinator plugs into sim.Engine as its
 // RemoteRunner and turns every registry-rebuildable work item into a
 // leased entry of a worker-pull queue, and Workers — separate
-// processes (cmd/imliworker, imlid -worker) or in-process goroutines
+// processes (imlid -worker) or in-process goroutines
 // (StartLocal) — lease items over HTTP, execute them with their own
 // local engine, and post the results back.
 //

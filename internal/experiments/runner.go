@@ -55,11 +55,6 @@ type Params struct {
 	// sharded results are bit-identical to unsharded runs (DESIGN.md
 	// §8) instead of carrying the §5 warm-up tolerance.
 	ExactShards bool
-	// Interleave is the number of co-resident work items each engine
-	// worker advances in lockstep through the staged predict/train hot
-	// path (DESIGN.md §13). 0 or 1 runs work items serially; results
-	// are bit-identical either way.
-	Interleave int
 	// Workers, when > 0, runs the simulations on a local worker
 	// cluster (DESIGN.md §14): the runner's engine becomes a
 	// coordinator dispatching work items over a loopback worker-pull
@@ -73,8 +68,8 @@ type Params struct {
 	// stream cache, result store, and snapshots across runners — the
 	// way the imlid service (internal/serve, DESIGN.md §9) backs many
 	// concurrent jobs with one engine. Parallel, Shards, CacheDir,
-	// StreamMemory, Snapshots, ExactShards, and Interleave are ignored
-	// when Engine is set: they are engine construction knobs.
+	// StreamMemory, Snapshots, and ExactShards are ignored when Engine
+	// is set: they are engine construction knobs.
 	Engine *sim.Engine
 	// Context, when non-nil, cancels the runner's simulations: suite
 	// runs started after cancellation return immediately and partially
@@ -161,7 +156,7 @@ func NewRunner(p Params) *Runner {
 	if engine == nil {
 		cfg := sim.EngineConfig{
 			Workers: p.Parallel, Shards: p.Shards, CacheDir: p.CacheDir, StreamMemory: p.StreamMemory,
-			Snapshots: p.Snapshots, ExactShards: p.ExactShards, Interleave: p.Interleave,
+			Snapshots: p.Snapshots, ExactShards: p.ExactShards,
 		}
 		if p.Workers > 0 {
 			// Local worker cluster: the runner's engine coordinates, and

@@ -26,7 +26,7 @@ func smallConfig() Config {
 
 func (h *harness) step(pc uint64, taken bool) bool {
 	pred := h.p.Predict(pc)
-	h.p.Update(pc, taken)
+	h.p.Update(taken)
 	h.g.Push(taken)
 	h.path.Push(pc)
 	h.p.Bank().Push(h.g)
@@ -114,7 +114,7 @@ func TestSumExposed(t *testing.T) {
 	if h.p.Sum() <= 0 {
 		t.Errorf("sum = %d 	after training taken, want positive", h.p.Sum())
 	}
-	h.p.Update(0x200, true)
+	h.p.Update(true)
 }
 
 func TestTreeAccess(t *testing.T) {

@@ -29,7 +29,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if check != nil {
 				check(i, pred, p.Sum())
 			}
-			p.Update(pc, taken)
+			p.Update(taken)
 			g.Push(taken)
 			path.Push(pc)
 			bank.Push(g)

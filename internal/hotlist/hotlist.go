@@ -25,14 +25,9 @@ func Packages() []string {
 
 // Methods are the per-branch entry points of the predictor.Predictor
 // call protocol — the simulation engine calls these once per record in
-// the hot loop (DESIGN.md §7) — plus the staged/batched entry points
-// the interleaved driver calls instead (DESIGN.md §13): the three
-// predict stages, the split train halves, and the batched history
-// advance (Advancer.Advance).
+// the hot loop (DESIGN.md §7) — plus the two halves of Train that the
+// speculative pipeline model (internal/sim/spec.go) calls separately
+// for every record.
 func Methods() []string {
-	return []string{
-		"Predict", "Train", "TrackOther",
-		"PredictStage1", "PredictStage2", "PredictStage3",
-		"TrainTables", "SpecPush", "Advance",
-	}
+	return []string{"Predict", "Train", "TrackOther", "TrainTables", "SpecPush"}
 }

@@ -137,7 +137,7 @@ type Table struct {
 	hist    *hist.Local
 	source  func(pc uint64) uint64
 
-	stageIdx uint64 //lint:allow snapcomplete staged-predict scratch, dead at branch-boundary snapshot points
+	idx uint64 //lint:allow snapcomplete vote-to-train scratch, dead at branch-boundary snapshot points
 }
 
 func (t *Table) index(ctx neural.Ctx) uint64 {
@@ -145,29 +145,17 @@ func (t *Table) index(ctx neural.Ctx) uint64 {
 	return (ctx.PCHash() ^ num.Mix(h*0x9E3779B97F4A7C15+uint64(t.histLen))) & t.mask
 }
 
-// Vote implements neural.Component.
-func (t *Table) Vote(ctx neural.Ctx) int { return num.Centered(t.ctr[t.index(ctx)]) }
+// Vote implements neural.Component. The first-level local-history
+// load (t.source) happens here; Train reusing the recorded index is
+// exact because the local history table is only pushed after table
+// training.
+func (t *Table) Vote(ctx neural.Ctx) int {
+	t.idx = t.index(ctx)
+	return num.Centered(t.ctr[t.idx])
+}
 
 // Train implements neural.Component.
-func (t *Table) Train(ctx neural.Ctx, taken bool) {
-	i := t.index(ctx)
-	t.ctr[i] = num.SatUpdate(t.ctr[i], taken, t.bits)
-}
-
-// StagePredict implements neural.Staged. The first-level local-history
-// load (t.source) happens here; reusing the recorded index at train
-// time is exact because the local history table is only pushed after
-// table training.
-func (t *Table) StagePredict(ctx neural.Ctx) int {
-	i := t.index(ctx)
-	t.stageIdx = i
-	return num.Centered(t.ctr[i])
-}
-
-// StageTrain implements neural.Staged.
-func (t *Table) StageTrain(_ neural.Ctx, taken bool) {
-	t.ctr[t.stageIdx] = num.SatUpdate(t.ctr[t.stageIdx], taken, t.bits)
-}
+func (t *Table) Train(taken bool) { t.ctr[t.idx] = num.SatUpdate(t.ctr[t.idx], taken, t.bits) }
 
 // Name implements neural.Component.
 func (t *Table) Name() string { return t.name }

@@ -27,7 +27,7 @@ func TestGroupLearnsPeriodicPattern(t *testing.T) {
 			}
 		}
 		for _, c := range g.Components() {
-			c.Train(ctx, want)
+			c.Train(want)
 		}
 		g.UpdateHistory(pc, want)
 	}
@@ -41,8 +41,10 @@ func TestGroupSeparatesBranches(t *testing.T) {
 	a, b := uint64(0x100), uint64(0x104)
 	for i := 0; i < 200; i++ {
 		for _, c := range g.Components() {
-			c.Train(neural.Ctx{PC: a}, true)
-			c.Train(neural.Ctx{PC: b}, false)
+			c.Vote(neural.Ctx{PC: a})
+			c.Train(true)
+			c.Vote(neural.Ctx{PC: b})
+			c.Train(false)
 		}
 		g.UpdateHistory(a, true)
 		g.UpdateHistory(b, false)

@@ -27,7 +27,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				check(i, sum)
 			}
 			for _, c := range g.Components() {
-				c.Train(ctx, taken)
+				c.Train(taken)
 			}
 			g.UpdateHistory(pc, taken)
 		}

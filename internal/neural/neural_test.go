@@ -14,7 +14,7 @@ type fixedComp struct {
 }
 
 func (f *fixedComp) Vote(Ctx) int     { return f.vote }
-func (f *fixedComp) Train(Ctx, bool)  { f.trained++ }
+func (f *fixedComp) Train(bool)       { f.trained++ }
 func (f *fixedComp) Name() string     { return "fixed" }
 func (f *fixedComp) StorageBits() int { return 0 }
 
@@ -30,7 +30,7 @@ func TestTreeTrainsOnMisprediction(t *testing.T) {
 	a := &fixedComp{vote: 100}
 	tree := NewTree(5, a)
 	sum := tree.Sum(Ctx{})
-	tree.Train(Ctx{}, false, sum) // predicted taken (sum>=0), outcome not-taken
+	tree.Train(false, sum) // predicted taken (sum>=0), outcome not-taken
 	if a.trained != 1 {
 		t.Error("components not trained on misprediction")
 	}
@@ -40,7 +40,7 @@ func TestTreeTrainsBelowThreshold(t *testing.T) {
 	a := &fixedComp{vote: 3}
 	tree := NewTree(5, a)
 	sum := tree.Sum(Ctx{})
-	tree.Train(Ctx{}, true, sum) // correct but |sum| <= theta
+	tree.Train(true, sum) // correct but |sum| <= theta
 	if a.trained != 1 {
 		t.Error("components not trained on low-confidence correct prediction")
 	}
@@ -50,7 +50,7 @@ func TestTreeSkipsConfidentCorrect(t *testing.T) {
 	a := &fixedComp{vote: 100}
 	tree := NewTree(5, a)
 	sum := tree.Sum(Ctx{})
-	tree.Train(Ctx{}, true, sum) // correct and confident
+	tree.Train(true, sum) // correct and confident
 	if a.trained != 0 {
 		t.Error("trained a confident correct prediction")
 	}
@@ -62,7 +62,7 @@ func TestThresholdAdapts(t *testing.T) {
 	t0 := tree.Theta()
 	// Sustained mispredictions must raise the threshold.
 	for i := 0; i < 64*3; i++ {
-		tree.Train(Ctx{}, false, 10)
+		tree.Train(false, 10)
 	}
 	if tree.Theta() <= t0 {
 		t.Errorf("theta did not rise under mispredictions: %d -> %d", t0, tree.Theta())
@@ -70,7 +70,7 @@ func TestThresholdAdapts(t *testing.T) {
 	// Sustained confident-correct-but-low-sum must lower it again.
 	high := tree.Theta()
 	for i := 0; i < 64*10; i++ {
-		tree.Train(Ctx{}, true, 1)
+		tree.Train(true, 1)
 	}
 	if tree.Theta() >= high {
 		t.Errorf("theta did not fall: %d -> %d", high, tree.Theta())
@@ -110,7 +110,7 @@ func TestGlobalTableLearns(t *testing.T) {
 		if pred != want && i > 1000 {
 			miss++
 		}
-		tbl.Train(ctx, want)
+		tbl.Train(want)
 		push(want, 0x200)
 		last = a
 	}
@@ -142,8 +142,10 @@ func TestBiasTableSeparatesTagePrediction(t *testing.T) {
 	pc := uint64(0x700)
 	// Same PC, different TAGE prediction → different entries.
 	for i := 0; i < 40; i++ {
-		tbl.Train(Ctx{PC: pc, TagePred: true}, true)
-		tbl.Train(Ctx{PC: pc, TagePred: false}, false)
+		tbl.Vote(Ctx{PC: pc, TagePred: true})
+		tbl.Train(true)
+		tbl.Vote(Ctx{PC: pc, TagePred: false})
+		tbl.Train(false)
 	}
 	if tbl.Vote(Ctx{PC: pc, TagePred: true}) <= 0 {
 		t.Error("bias[pc,taken] should vote taken")
@@ -156,7 +158,8 @@ func TestBiasTableSeparatesTagePrediction(t *testing.T) {
 func TestBiasTableDoubleWeight(t *testing.T) {
 	tbl := NewBiasTable("b", 64, 6, 0)
 	ctx := Ctx{PC: 4}
-	tbl.Train(ctx, true)
+	tbl.Vote(ctx)
+	tbl.Train(true)
 	// One train step moves counter to 1 → centered 3 → doubled 6.
 	if got := tbl.Vote(ctx); got != 6 {
 		t.Errorf("Vote = %d, want 6 (double-weighted centered counter)", got)

@@ -32,7 +32,7 @@ func TestTreeSnapshotRoundTrip(t *testing.T) {
 			if check != nil {
 				check(i, sum)
 			}
-			tree.Train(ctx, taken, sum)
+			tree.Train(taken, sum)
 			g.Push(taken)
 			bank.Push(g)
 		}

@@ -91,16 +91,8 @@ type Composite struct {
 	wh   *wormhole.Predictor
 
 	// per-branch state between Predict and Train
-	lastTage     tage.Prediction //lint:allow snapcomplete Predict-to-Train scratch, dead at branch-boundary snapshot points
-	lastFinal    bool            //lint:allow snapcomplete Predict-to-Train scratch, dead at branch-boundary snapshot points
-	lastLoopUsed bool            //lint:allow snapcomplete Predict-to-Train scratch, dead at branch-boundary snapshot points
-
-	// staged-predict scratch carried between PredictStage1/2/3
-	stagePC     uint64 //lint:allow snapcomplete staged-predict scratch, dead at branch-boundary snapshot points
-	stageLoop   bool   //lint:allow snapcomplete staged-predict scratch, dead at branch-boundary snapshot points
-	stageLoopOK bool   //lint:allow snapcomplete staged-predict scratch, dead at branch-boundary snapshot points
-	stageWH     bool   //lint:allow snapcomplete staged-predict scratch, dead at branch-boundary snapshot points
-	stageWHUse  bool   //lint:allow snapcomplete staged-predict scratch, dead at branch-boundary snapshot points
+	lastTage  tage.Prediction //lint:allow snapcomplete Predict-to-Train scratch, dead at branch-boundary snapshot points
+	lastFinal bool            //lint:allow snapcomplete Predict-to-Train scratch, dead at branch-boundary snapshot points
 
 	// locDetached suppresses the built-in commit of local history so
 	// the §2.3.2 pipeline model can own it (DetachLocalHistory).
@@ -221,14 +213,27 @@ func NewCustom(name string, opts Options) *Composite {
 // Name implements Predictor.
 func (c *Composite) Name() string { return c.opts.name }
 
-// Predict implements Predictor. It is the composition of the three
-// pipeline stages (see staged.go); an interleaved driver calls the
-// stages directly across several independent composites so their
-// table-load misses overlap.
+// Predict implements Predictor.
 func (c *Composite) Predict(pc uint64) bool {
-	c.PredictStage1(pc)
-	c.PredictStage2()
-	return c.PredictStage3()
+	var pred bool
+	if c.tage != nil {
+		c.lastTage = c.tage.Predict(pc)
+		pred = c.gsc.Predict(pc, c.lastTage)
+	} else {
+		pred = c.gehl.Predict(pc)
+	}
+	if c.lp != nil {
+		if lpred, valid := c.lp.Predict(pc); valid && c.opts.LoopUse {
+			pred = lpred
+		}
+	}
+	if c.wh != nil {
+		if wpred, use := c.wh.Predict(pc); use {
+			pred = wpred
+		}
+	}
+	c.lastFinal = pred
+	return pred
 }
 
 // Train implements Predictor: the immediate-update path used by the

@@ -66,10 +66,10 @@ func (c *Composite) TrainTables(pc, target uint64, taken bool) {
 	mispredicted := c.lastFinal != taken
 	backward := target < pc
 	if c.tage != nil {
-		c.gsc.UpdateStaged(taken)
+		c.gsc.Update(taken)
 		c.tage.Update(pc, taken, c.lastTage)
 	} else {
-		c.gehl.UpdateStaged(taken)
+		c.gehl.Update(taken)
 	}
 	if c.lp != nil {
 		c.lp.Update(pc, taken, mispredicted, backward)

@@ -50,6 +50,6 @@ func (noiseComp) Vote(ctx neural.Ctx) int {
 	h := ctx.PC*0x9E3779B97F4A7C15 + 12345
 	return int(h>>60) - 8
 }
-func (noiseComp) Train(neural.Ctx, bool) {}
-func (noiseComp) Name() string           { return "noise" }
-func (noiseComp) StorageBits() int       { return 0 }
+func (noiseComp) Train(bool)       {}
+func (noiseComp) Name() string     { return "noise" }
+func (noiseComp) StorageBits() int { return 0 }

@@ -55,9 +55,7 @@ type Corrector struct {
 	bias    []*neural.BiasTable
 	globals []*neural.GlobalTable
 
-	lastSum int        //lint:allow snapcomplete Predict-to-Train scratch, dead at branch-boundary snapshot points
-	lastCtx neural.Ctx //lint:allow snapcomplete Predict-to-Train scratch, dead at branch-boundary snapshot points
-	partial int        //lint:allow snapcomplete staged-predict scratch, dead at branch-boundary snapshot points
+	lastSum int //lint:allow snapcomplete Predict-to-Train scratch, dead at branch-boundary snapshot points
 }
 
 // New returns a corrector over the shared path history, allocating
@@ -112,50 +110,17 @@ func (c *Corrector) tageVote(pred tage.Prediction) int {
 // same branch. The PC hash computed by the TAGE Predict travels in
 // tagePred.PCMix so the corrector's tables reuse it.
 func (c *Corrector) Predict(pc uint64, tagePred tage.Prediction) bool {
-	c.lastCtx = neural.Ctx{PC: pc, PCMix: tagePred.PCMix, TagePred: tagePred.Taken}
-	c.lastSum = c.tree.Sum(c.lastCtx) + c.tageVote(tagePred)
+	ctx := neural.Ctx{PC: pc, PCMix: tagePred.PCMix, TagePred: tagePred.Taken}
+	c.lastSum = c.tree.Sum(ctx) + c.tageVote(tagePred)
 	return c.lastSum >= 0
 }
 
 // Sum returns the last combined sum (for confidence inspection).
 func (c *Corrector) Sum() int { return c.lastSum }
 
-// Update trains the corrector with the resolved outcome.
-func (c *Corrector) Update(taken bool) {
-	c.tree.Train(c.lastCtx, taken, c.lastSum)
-}
-
-// StageIndex is predict stage 1 for the corrector: it registers the
-// branch context the later stages index with. pcMix is the PC hash the
-// TAGE IndexStage already computed; the TAGE prediction is not
-// resolved yet, so the ctx carries an unresolved TagePred.
-func (c *Corrector) StageIndex(pc, pcMix uint64) {
-	c.lastCtx = neural.Ctx{PC: pc, PCMix: pcMix}
-}
-
-// StageLoad is predict stage 2: every component's fused
-// index/load/vote (one dispatch per component, matching Sum). Bias
-// tables load both candidates of their pair and defer the
-// TagePred-dependent selection to StageCombine; the partial sum of
-// everything else is recorded in scratch.
-func (c *Corrector) StageLoad() { c.partial = c.tree.StagePredict(c.lastCtx) }
-
-// StageCombine is predict stage 3: resolve the TAGE prediction into
-// the ctx, add the deferred bias votes and the weighted TAGE vote to
-// the stage-2 partial sum and return the final direction. Equivalent
-// to Predict over the same state; must be followed by UpdateStaged (or
-// Update) for the branch.
-func (c *Corrector) StageCombine(tagePred tage.Prediction) bool {
-	c.lastCtx.TagePred = tagePred.Taken
-	c.lastSum = c.tree.StageFinishSum(c.lastCtx, c.partial) + c.tageVote(tagePred)
-	return c.lastSum >= 0
-}
-
-// UpdateStaged trains the corrector using the indices recorded by the
-// staged predict, avoiding the index recomputation of Update.
-func (c *Corrector) UpdateStaged(taken bool) {
-	c.tree.StageTrain(c.lastCtx, taken, c.lastSum)
-}
+// Update trains the corrector with the resolved outcome, at the
+// entries the preceding Predict voted with.
+func (c *Corrector) Update(taken bool) { c.tree.Train(taken, c.lastSum) }
 
 // StorageBits returns the corrector storage cost.
 func (c *Corrector) StorageBits() int { return c.tree.StorageBits() }

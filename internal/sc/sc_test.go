@@ -109,7 +109,7 @@ func TestStorageBits(t *testing.T) {
 
 type fakeComp struct{}
 
-func (fakeComp) Vote(neural.Ctx) int    { return 0 }
-func (fakeComp) Name() string           { return "fake" }
-func (fakeComp) StorageBits() int       { return 128 }
-func (fakeComp) Train(neural.Ctx, bool) {}
+func (fakeComp) Vote(neural.Ctx) int { return 0 }
+func (fakeComp) Name() string        { return "fake" }
+func (fakeComp) StorageBits() int    { return 128 }
+func (fakeComp) Train(bool)          {}

@@ -67,17 +67,6 @@ type EngineConfig struct {
 	// so re-runs and budget extensions stay incremental. Implies
 	// Snapshots.
 	ExactShards bool
-	// Interleave, when > 1, makes each worker advance up to this many
-	// work items in lockstep through the staged predict/train pipeline
-	// (DESIGN.md §13): stage-1 index math for all co-resident streams,
-	// then all their table loads, then all their combines, so cache
-	// misses from different streams overlap instead of serializing.
-	// Bit-identical per stream — results and store entries are
-	// unchanged. Applies to the plain sharding path; ExactShards runs
-	// chain shards serially and ignore it. Streams fall back to the
-	// serial driver when the predictor is not a composite or the stream
-	// is not materialized.
-	Interleave int
 	// Store, when non-nil, caches per-shard results (and snapshots) on
 	// disk so repeated runs are incremental.
 	Store *Store
@@ -102,9 +91,7 @@ type EngineConfig struct {
 	// predictor builders) still run locally. A RunItem call blocks its
 	// engine worker slot while the remote executes, so Workers should
 	// be sized to the wanted dispatch concurrency, not to local CPUs;
-	// <=0 defaults to 8×GOMAXPROCS when Remote is set. Interleave is
-	// forced to 1: lockstep grouping is an in-process hot-path
-	// arrangement, meaningless across a wire.
+	// <=0 defaults to 8×GOMAXPROCS when Remote is set.
 	Remote RemoteRunner
 }
 
@@ -130,14 +117,13 @@ type EngineStats struct {
 // except when a cached snapshot supplies the exact state of a stream
 // prefix (Snapshots / ExactShards).
 type Engine struct {
-	workers    int
-	shards     int
-	warmup     int
-	snapshots  bool
-	exact      bool
-	interleave int
-	store      *Store
-	streams    *workload.StreamCache
+	workers   int
+	shards    int
+	warmup    int
+	snapshots bool
+	exact     bool
+	store     *Store
+	streams   *workload.StreamCache
 	// sem is the engine-wide worker bound: every work item, from every
 	// concurrent RunSuite call sharing this engine, holds one slot
 	// while it simulates. Long-running services (internal/serve) rely
@@ -191,14 +177,10 @@ func NewEngine(cfg EngineConfig) *Engine {
 		}
 		cfg.Streams = workload.NewStreamCache(cfg.StreamMemory, spill)
 	}
-	if cfg.Interleave < 1 || cfg.Remote != nil {
-		cfg.Interleave = 1
-	}
 	return &Engine{
 		workers: cfg.Workers, shards: cfg.Shards, warmup: cfg.Warmup,
 		snapshots: cfg.Snapshots || cfg.ExactShards, exact: cfg.ExactShards,
-		interleave: cfg.Interleave,
-		store:      cfg.Store, streams: cfg.Streams,
+		store: cfg.Store, streams: cfg.Streams,
 		remote: cfg.Remote,
 		sem:    make(chan struct{}, cfg.Workers),
 	}
@@ -217,10 +199,6 @@ func StreamMemoryFromMiB(mib int) int64 {
 
 // Shards returns the per-benchmark shard count.
 func (e *Engine) Shards() int { return e.shards }
-
-// Interleave returns the per-worker co-resident stream count (1 =
-// serial).
-func (e *Engine) Interleave() int { return e.interleave }
 
 // Streams returns the engine's materialized-stream cache, or nil when
 // materialization is disabled.
@@ -371,44 +349,15 @@ func (e *Engine) RunSuiteContext(ctx context.Context, builder func() predictor.P
 				items = append(items, item{bi, si})
 			}
 		}
-		if e.interleave > 1 {
-			// Interleaved mode: each worker advances a group of up to
-			// `interleave` work items in lockstep so their table-load
-			// misses overlap (see interleave.go). Per-item results,
-			// store entries and snapshots are bit-identical to the
-			// serial path.
-			step := e.interleave
-			groups := (len(items) + step - 1) / step
-			e.forEach(ctx, groups, func(gi int) {
-				lo := gi * step
-				hi := lo + step
-				if hi > len(items) {
-					hi = len(items)
-				}
-				work := make([]groupItem, hi-lo)
-				for k, it := range items[lo:hi] {
-					work[k] = groupItem{bench: benches[it.bench], shard: it.shard}
-				}
-				e.runShardGroup(builder, name, suite, budget, work)
-				for k, it := range items[lo:hi] {
-					if work[k].hit {
-						cached.Add(1)
-					}
-					shardRes[it.bench][it.shard] = work[k].res
-					emit(benches[it.bench].Name, it.shard, work[k].hit)
-				}
-			})
-		} else {
-			e.forEach(ctx, len(items), func(i int) {
-				it := items[i]
-				res, hit := e.runShard(ctx, builder, name, suite, benches[it.bench], budget, it.shard)
-				if hit {
-					cached.Add(1)
-				}
-				shardRes[it.bench][it.shard] = res
-				emit(benches[it.bench].Name, it.shard, hit)
-			})
-		}
+		e.forEach(ctx, len(items), func(i int) {
+			it := items[i]
+			res, hit := e.runShard(ctx, builder, name, suite, benches[it.bench], budget, it.shard)
+			if hit {
+				cached.Add(1)
+			}
+			shardRes[it.bench][it.shard] = res
+			emit(benches[it.bench].Name, it.shard, hit)
+		})
 	}
 
 	for i := range benches {

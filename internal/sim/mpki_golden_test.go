@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/predictor"
@@ -37,9 +38,16 @@ func goldenBenches(t *testing.T) []workload.Benchmark {
 	return out
 }
 
+// goldenLocalDelay is the commit delay, in conditional branches, of
+// the local-history pipeline runs pinned by the speculative-model
+// goldens (the same modest window the localspec experiment uses).
+const goldenLocalDelay = 32
+
 // goldenCount is the exact simulation outcome of one (config, trace)
 // pair; integer counts rather than float MPKI so "bit-identical" is
-// literal.
+// literal. Speculative-model entries name the mode after a slash in
+// Config ("tage-gsc+imli/unrepaired", "tage-sc-l/forwarded"), the
+// Result.Predictor naming of FeedSpeculative and RunLocalSpec.
 type goldenCount struct {
 	Config       string `json:"config"`
 	Trace        string `json:"trace"`
@@ -54,7 +62,8 @@ type goldenCount struct {
 // (hist.FoldedBank, packed hist.Global, hoisted PC hashing); any
 // change in predictor arithmetic — however small — fails this test.
 // Regenerate deliberately with: go test ./internal/sim -run
-// MPKIBitIdentity -update
+// MPKIBitIdentity -update (which also rewrites the speculative-model
+// entries of TestSpecModelGolden).
 func TestMPKIBitIdentityAllConfigs(t *testing.T) {
 	benches := goldenBenches(t)
 	configs := predictor.Names()
@@ -67,20 +76,89 @@ func TestMPKIBitIdentityAllConfigs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range run.Results {
-			got = append(got, goldenCount{
-				Config:       cfg,
-				Trace:        r.Trace,
-				Instructions: r.Instructions,
-				Conditionals: r.Conditionals,
-				Mispredicted: r.Mispredicted,
-			})
+			got = append(got, countOf(cfg, r))
 		}
 	}
 
-	if writeGoldenIfRequested(t, got) {
+	if *updateGolden {
+		for _, cfg := range compositeConfigs() {
+			got = append(got, specModelCounts(t, cfg, benches)...)
+		}
+		writeGolden(t, got)
 		return
 	}
-	compareGolden(t, got, true)
+	compareGolden(t, got, func(g goldenCount) bool { return !strings.Contains(g.Config, "/") })
+}
+
+// TestSpecModelGolden locks the exact counts of the speculative
+// pipeline model on every composite configuration: FeedSpeculative
+// under SpecCheckpointed and SpecUnrepaired — predictions made on
+// wrong-path history, checkpoint/restore repair — and, for the
+// configurations with local history, RunLocalSpec in all three
+// local-history modes.
+func TestSpecModelGolden(t *testing.T) {
+	if *updateGolden {
+		t.Skip("goldens are written by TestMPKIBitIdentityAllConfigs")
+	}
+	benches := goldenBenches(t)
+	for _, cfg := range compositeConfigs() {
+		t.Run(cfg, func(t *testing.T) {
+			compareGolden(t, specModelCounts(t, cfg, benches), func(g goldenCount) bool {
+				return strings.HasPrefix(g.Config, cfg+"/")
+			})
+		})
+	}
+}
+
+// compositeConfigs returns the registry configurations built as
+// *predictor.Composite; the bimodal/gshare adapters have no
+// speculative hooks.
+func compositeConfigs() []string {
+	var out []string
+	for _, cfg := range predictor.Names() {
+		if _, ok := predictor.MustNew(cfg).(*predictor.Composite); ok {
+			out = append(out, cfg)
+		}
+	}
+	return out
+}
+
+// specModelCounts runs the speculative pipeline model for one
+// composite configuration over benches.
+func specModelCounts(t *testing.T, cfg string, benches []workload.Benchmark) []goldenCount {
+	t.Helper()
+	local := predictor.MustNew(cfg).(*predictor.Composite).LocalGroup() != nil
+	var got []goldenCount
+	for _, b := range benches {
+		for _, mode := range []SpecMode{SpecCheckpointed, SpecUnrepaired} {
+			res, err := RunSpecBenchmark(cfg, mode, b, goldenBudget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, countOf(res.Predictor, res))
+		}
+		if !local {
+			continue
+		}
+		for _, mode := range []LocalMode{LocalIdeal, LocalCommitOnly, LocalForwarded} {
+			res, err := RunLocalSpec(cfg, mode, goldenLocalDelay, b, goldenBudget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, countOf(res.Predictor, res.Result))
+		}
+	}
+	return got
+}
+
+func countOf(config string, r Result) goldenCount {
+	return goldenCount{
+		Config:       config,
+		Trace:        r.Trace,
+		Instructions: r.Instructions,
+		Conditionals: r.Conditionals,
+		Mispredicted: r.Mispredicted,
+	}
 }
 
 // TestSpecCheckpointedMatchesGolden pins the documented invariant that
@@ -94,38 +172,22 @@ func TestSpecCheckpointedMatchesGolden(t *testing.T) {
 		t.Skip("goldens are written by TestMPKIBitIdentityAllConfigs")
 	}
 	benches := goldenBenches(t)
-	configs := predictor.Names()
-	sort.Strings(configs)
-
 	var got []goldenCount
-	for _, cfg := range configs {
-		if _, ok := predictor.MustNew(cfg).(*predictor.Composite); !ok {
-			continue // bimodal/gshare adapters have no speculative hooks
-		}
+	for _, cfg := range compositeConfigs() {
 		for _, b := range benches {
 			res, err := RunSpecBenchmark(cfg, SpecCheckpointed, b, goldenBudget)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = append(got, goldenCount{
-				Config:       cfg,
-				Trace:        res.Trace,
-				Instructions: res.Instructions,
-				Conditionals: res.Conditionals,
-				Mispredicted: res.Mispredicted,
-			})
+			got = append(got, countOf(cfg, res))
 		}
 	}
-	compareGolden(t, got, false)
+	compareGolden(t, got, nil)
 }
 
-// writeGoldenIfRequested rewrites the golden file when -update is set,
-// reporting whether it did.
-func writeGoldenIfRequested(t *testing.T, got []goldenCount) bool {
+// writeGolden rewrites the golden file (the -update flow).
+func writeGolden(t *testing.T, got []goldenCount) {
 	t.Helper()
-	if !*updateGolden {
-		return false
-	}
 	path := filepath.Join("testdata", "mpki_golden.json")
 	data, err := json.MarshalIndent(got, "", "  ")
 	if err != nil {
@@ -138,15 +200,14 @@ func writeGoldenIfRequested(t *testing.T, got []goldenCount) bool {
 		t.Fatal(err)
 	}
 	t.Logf("rewrote %s with %d entries", path, len(got))
-	return true
 }
 
-// compareGolden checks counts against the golden file. When complete
-// is set, got must cover every golden entry (the immediate-update
-// sweep); otherwise entries absent from got (non-composite configs in
-// the spec sweep) are simply not checked, but every got entry must
-// match its golden counterpart.
-func compareGolden(t *testing.T, got []goldenCount, complete bool) {
+// compareGolden checks counts against the golden file. When section
+// is non-nil, got must cover exactly the golden entries it selects;
+// otherwise golden entries absent from got (non-composite configs in
+// the checkpointed sweep) are simply not checked. Either way every got
+// entry must match its golden counterpart.
+func compareGolden(t *testing.T, got []goldenCount, section func(goldenCount) bool) {
 	t.Helper()
 	path := filepath.Join("testdata", "mpki_golden.json")
 	data, err := os.ReadFile(path)
@@ -158,11 +219,15 @@ func compareGolden(t *testing.T, got []goldenCount, complete bool) {
 		t.Fatal(err)
 	}
 	wantByKey := make(map[[2]string]goldenCount, len(want))
+	inSection := 0
 	for _, w := range want {
 		wantByKey[[2]string{w.Config, w.Trace}] = w
+		if section != nil && section(w) {
+			inSection++
+		}
 	}
-	if complete && len(got) != len(want) {
-		t.Errorf("result count %d, golden has %d", len(got), len(want))
+	if section != nil && len(got) != inSection {
+		t.Errorf("result count %d, golden has %d", len(got), inSection)
 	}
 	for _, g := range got {
 		w, ok := wantByKey[[2]string{g.Config, g.Trace}]
