@@ -94,6 +94,10 @@ type WorkCompletion struct {
 	// coordinator re-dispatches a failed item a bounded number of times
 	// before failing the jobs waiting on it.
 	Error string `json:"error,omitempty"`
+	// Next asks for the worker's next lease in the same round trip:
+	// after crediting the completion, the coordinator holds the
+	// request like a lease request and answers with WorkAck.Next.
+	Next bool `json:"next,omitempty"`
 }
 
 // WorkAck is the coordinator's answer to a completion.
@@ -109,6 +113,10 @@ type WorkAck struct {
 	// Stale marks a completion under an expired or re-dispatched
 	// lease that still delivered the item's first result.
 	Stale bool `json:"stale,omitempty"`
+	// Next is the worker's next lease when the completion asked for
+	// one (WorkCompletion.Next); nil when no work arrived within the
+	// coordinator's hold.
+	Next *WorkLease `json:"next,omitempty"`
 }
 
 // WorkStats is the /v1/work/stats payload: the coordinator's queue
@@ -138,9 +146,10 @@ type WorkStats struct {
 	Mismatches uint64 `json:"mismatches"`
 }
 
-// LeaseWork asks the coordinator for one work item. ok is false when
-// the queue is empty (HTTP 204) — workers should back off briefly and
-// poll again.
+// LeaseWork asks the coordinator for one work item. The coordinator
+// holds the request until an item is pending or its hold (about a
+// second) runs out; ok is false in the latter case (HTTP 204), and
+// the worker simply asks again.
 func (c *Client) LeaseWork(ctx context.Context, worker string) (lease WorkLease, ok bool, err error) {
 	err = c.do(ctx, http.MethodPost, "/v1/work/lease", WorkLeaseRequest{Worker: worker}, &lease)
 	if err != nil {
@@ -150,7 +159,8 @@ func (c *Client) LeaseWork(ctx context.Context, worker string) (lease WorkLease,
 }
 
 // CompleteWork posts a leased item's outcome. Safe to retry: the
-// coordinator deduplicates completions by item.
+// coordinator deduplicates completions by item. With comp.Next set the
+// call also waits, like LeaseWork, for the worker's next lease.
 func (c *Client) CompleteWork(ctx context.Context, comp WorkCompletion) (WorkAck, error) {
 	var ack WorkAck
 	err := c.do(ctx, http.MethodPost, "/v1/work/complete", comp, &ack)

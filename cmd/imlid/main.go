@@ -198,6 +198,12 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		if err := srv.Drain(drainCtx); err != nil {
 			fmt.Fprintf(stdout, "imlid: drain deadline hit, outstanding jobs canceled\n")
 		}
+		if coord != nil {
+			// Jobs no longer need the fleet: answer the workers' parked
+			// lease requests now, so Shutdown does not wait out a hold
+			// for each of them.
+			coord.Close()
+		}
 		// Jobs are finished (or canceled); now close the listener and
 		// let in-flight responses — including event streams, which end
 		// with their jobs — complete.
@@ -254,7 +260,7 @@ func runWorker(stdout io.Writer, baseURL string, eng *cliflags.Engine) error {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	fmt.Fprintf(stdout, "imlid: worker polling %s (slots %d)\n", url, slots)
+	fmt.Fprintf(stdout, "imlid: worker leasing from %s (slots %d)\n", url, slots)
 	var wg sync.WaitGroup
 	for i := 0; i < slots; i++ {
 		w := &dist.Worker{

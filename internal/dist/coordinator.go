@@ -17,15 +17,17 @@
 // single-process run no matter which subset of these faults occurred.
 // The chaos tests in this package assert exactly that.
 //
-// Lease expiry is evaluated when workers poll, not on a background
-// timer: with no live worker polling, nothing could execute a
-// re-dispatched item anyway, and the package stays free of spinning
-// goroutines.
+// Lease requests are long polls: a request with nothing to lease parks
+// until an item is enqueued or its hold runs out, and a completion can
+// ask for the worker's next lease in the same round trip. Lease expiry
+// is evaluated by lease requests, not on a background timer — a parked
+// request also wakes at the earliest live lease deadline — so with no
+// worker asking, nothing could execute a re-dispatched item anyway,
+// and the package stays free of spinning goroutines.
 package dist
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -40,7 +42,7 @@ import (
 type CoordinatorConfig struct {
 	// LeaseTTL is how long a worker may hold a leased item before the
 	// coordinator re-dispatches it; <=0 means 30s. Expiry is checked
-	// whenever a worker polls for work.
+	// by lease requests, parked ones included.
 	LeaseTTL time.Duration
 	// MaxFailures is how many worker-reported error completions an
 	// item absorbs before the coordinator fails it (failing the jobs
@@ -52,6 +54,11 @@ type CoordinatorConfig struct {
 	// duplicate detection and result re-delivery; <=0 means 4096.
 	KeepDone int
 }
+
+// leaseHold bounds how long a lease request — or a completion asking
+// for the worker's next lease — parks waiting for work before it is
+// answered empty.
+const leaseHold = time.Second
 
 // ErrClosed is returned by RunItem when the coordinator is closed
 // while the item is still outstanding.
@@ -70,7 +77,6 @@ const (
 // workItem is the coordinator's record of one dispatched ItemSpec.
 type workItem struct {
 	spec sim.ItemSpec
-	key  string
 
 	state    itemState
 	lease    string // current lease ID while stateLeased
@@ -88,6 +94,11 @@ type lease struct {
 	deadline time.Time
 }
 
+// waiter is one parked lease request. A waker pops it off the
+// coordinator's waiter stack and signals wake; only the popping side
+// sends, so the one-slot buffer never blocks.
+type waiter struct{ wake chan struct{} }
+
 // Coordinator owns the work-item queue a fleet of workers pulls from.
 // It implements sim.RemoteRunner, so handing it to
 // sim.EngineConfig.Remote turns that engine into the coordinator side
@@ -99,10 +110,11 @@ type Coordinator struct {
 	keepDone int
 
 	mu        sync.Mutex
-	items     map[string]*workItem // live + retained-done items by key
-	queue     []*workItem          // FIFO of pending items (lazily compacted)
-	leases    map[string]*lease    // active leases by ID
-	doneOrder []string             // retained-done keys, oldest first
+	items     map[sim.ItemSpec]*workItem // live + retained-done items
+	queue     []*workItem                // FIFO of pending items (lazily compacted)
+	leases    map[string]*lease          // active leases by ID
+	waiters   []*waiter                  // parked lease requests, oldest first
+	doneOrder []sim.ItemSpec             // retained-done items, oldest first
 	nextLease int
 	closed    chan struct{}
 
@@ -129,14 +141,16 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	}
 	return &Coordinator{
 		ttl: cfg.LeaseTTL, maxFail: cfg.MaxFailures, keepDone: cfg.KeepDone,
-		items:  map[string]*workItem{},
+		items:  map[sim.ItemSpec]*workItem{},
 		leases: map[string]*lease{},
 		closed: make(chan struct{}),
 	}
 }
 
-// Close fails every outstanding RunItem with ErrClosed and makes
-// further leases come back empty. Idempotent.
+// Close fails every outstanding RunItem with ErrClosed, answers every
+// parked lease request (empty) and every completion parked for its
+// next lease (without one) at once, and makes further leases come
+// back empty. Idempotent.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -148,31 +162,18 @@ func (c *Coordinator) Close() {
 	close(c.closed)
 }
 
-// itemKey canonicalizes an ItemSpec: its JSON encoding (fixed field
-// order, every string quoted), the same no-ambiguity convention the
-// result store keys with.
-func itemKey(spec sim.ItemSpec) string {
-	b, err := json.Marshal(spec)
-	if err != nil {
-		// ItemSpec is strings, ints and a bool; Marshal cannot fail.
-		panic(fmt.Sprintf("dist: item key encoding: %v", err))
-	}
-	return string(b)
-}
-
 // RunItem implements sim.RemoteRunner: it enqueues the item (or joins
 // the in-flight entry — concurrent identical requests share one
 // execution, like the engine's own dedup layers) and blocks until a
 // worker delivers the result, the item exhausts MaxFailures, ctx is
 // canceled, or the coordinator closes.
 func (c *Coordinator) RunItem(ctx context.Context, item sim.ItemSpec) ([]sim.Result, error) {
-	k := itemKey(item)
 	c.mu.Lock()
-	it, ok := c.items[k]
+	it, ok := c.items[item]
 	if !ok {
-		it = &workItem{spec: item, key: k, done: make(chan struct{})}
-		c.items[k] = it
-		c.queue = append(c.queue, it)
+		it = &workItem{spec: item, done: make(chan struct{})}
+		c.items[item] = it
+		c.enqueueLocked(it)
 	}
 	c.mu.Unlock()
 
@@ -191,38 +192,144 @@ func (c *Coordinator) RunItem(ctx context.Context, item sim.ItemSpec) ([]sim.Res
 	return append([]sim.Result(nil), it.results...), nil
 }
 
-// Lease grants the oldest pending item to a worker, first requeueing
-// any expired leases (or, under an injected "dist/lease.expire" fault,
-// force-expiring every live lease — the test harness's way of
-// compressing a TTL elapse into an instant). ok is false when no work
-// is pending.
+// Lease grants the oldest pending item to a worker without waiting;
+// ok is false when no work is pending. It is the hold-free form of
+// the HTTP lease endpoint's long poll.
 func (c *Coordinator) Lease(worker string) (client.WorkLease, bool) {
-	now := time.Now()
-	force := faultinject.Err("dist/lease.expire") != nil
+	return c.lease(context.Background(), worker, 0)
+}
+
+// lease grants the oldest pending item to worker, parking up to hold
+// for one to be enqueued; ok is false when the hold ran out with no
+// work, ctx ended, or the coordinator closed.
+func (c *Coordinator) lease(ctx context.Context, worker string, hold time.Duration) (client.WorkLease, bool) {
 	c.mu.Lock()
+	return c.awaitLeaseLocked(ctx, worker, time.Now().Add(hold))
+}
+
+// awaitLeaseLocked is the long poll behind lease and lease-on-complete.
+// Called with c.mu held, it releases it before returning. A request
+// that finds nothing to lease pushes itself onto the waiter stack
+// before the lock drops, so an enqueue that follows cannot miss it,
+// and parks until woken, until end, or until the earliest live lease
+// deadline — whichever comes first. The park is also capped at the
+// lease TTL, so a lease granted after the request parked still has
+// its deadline observed.
+func (c *Coordinator) awaitLeaseLocked(ctx context.Context, worker string, end time.Time) (client.WorkLease, bool) {
 	defer c.mu.Unlock()
-	select {
-	case <-c.closed:
+	w := &waiter{wake: make(chan struct{}, 1)}
+	for {
+		if ctx.Err() != nil {
+			// The request is gone: a wake-up it may have taken passes
+			// on to the next parked request.
+			if c.pendingLocked() {
+				c.wakeLocked()
+			}
+			return client.WorkLease{}, false
+		}
+		now := time.Now()
+		if l, ok := c.leaseLocked(worker, now); ok {
+			return l, true
+		}
+		if c.isClosed() || !now.Before(end) {
+			return client.WorkLease{}, false
+		}
+		c.waiters = append(c.waiters, w)
+		wait := min(end.Sub(now), c.ttl)
+		for _, l := range c.leases {
+			wait = min(wait, l.deadline.Sub(now))
+		}
+		c.mu.Unlock()
+		t := time.NewTimer(wait)
+		select {
+		case <-w.wake:
+		case <-t.C:
+		case <-ctx.Done():
+		case <-c.closed:
+		}
+		t.Stop()
+		c.mu.Lock()
+		c.unparkLocked(w)
+	}
+}
+
+// leaseLocked grants the oldest pending item, first requeueing any
+// expired leases (or, under an injected "dist/lease.expire" fault,
+// force-expiring every live lease — the test harness's way of
+// compressing a TTL elapse into an instant).
+func (c *Coordinator) leaseLocked(worker string, now time.Time) (client.WorkLease, bool) {
+	if c.isClosed() {
 		return client.WorkLease{}, false
+	}
+	c.expireLocked(now, faultinject.Err("dist/lease.expire") != nil)
+	if !c.pendingLocked() {
+		return client.WorkLease{}, false
+	}
+	it := c.queue[0]
+	c.queue = c.queue[1:]
+	c.nextLease++
+	id := fmt.Sprintf("l%d", c.nextLease)
+	it.state = stateLeased
+	it.lease = id
+	c.leases[id] = &lease{item: it, worker: worker, deadline: now.Add(c.ttl)}
+	c.dispatched++
+	return client.WorkLease{Lease: id, TTLMillis: c.ttl.Milliseconds(), Item: toWireItem(it.spec)}, true
+}
+
+// pendingLocked drops queue entries made stale by late completions
+// from the head of the queue and reports whether an item is pending.
+func (c *Coordinator) pendingLocked() bool {
+	for len(c.queue) > 0 && c.queue[0].state != statePending {
+		c.queue = c.queue[1:]
+	}
+	return len(c.queue) > 0
+}
+
+// enqueueLocked makes it pending and wakes the newest parked lease
+// request. Newest first is what keeps a stream-cache-warm worker on
+// its benchmark: a worker completing an item parks (lease-on-complete)
+// just before the engine enqueues the item that completion unblocked.
+func (c *Coordinator) enqueueLocked(it *workItem) {
+	it.state = statePending
+	it.lease = ""
+	c.queue = append(c.queue, it)
+	c.wakeLocked()
+}
+
+// wakeLocked pops the newest parked lease request and wakes it.
+func (c *Coordinator) wakeLocked() {
+	n := len(c.waiters)
+	if n == 0 {
+		return
+	}
+	w := c.waiters[n-1]
+	c.waiters[n-1] = nil
+	c.waiters = c.waiters[:n-1]
+	w.wake <- struct{}{}
+}
+
+// unparkLocked takes w off the waiter stack, or — when a waker popped
+// it already — consumes its wake-up, leaving w ready to park again.
+func (c *Coordinator) unparkLocked(w *waiter) {
+	for i, x := range c.waiters {
+		if x == w {
+			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
+			return
+		}
+	}
+	select {
+	case <-w.wake:
 	default:
 	}
-	c.expireLocked(now, force)
-	for len(c.queue) > 0 {
-		it := c.queue[0]
-		c.queue = c.queue[1:]
-		if it.state != statePending {
-			// A requeue entry made stale by a late completion.
-			continue
-		}
-		c.nextLease++
-		id := fmt.Sprintf("l%d", c.nextLease)
-		it.state = stateLeased
-		it.lease = id
-		c.leases[id] = &lease{item: it, worker: worker, deadline: now.Add(c.ttl)}
-		c.dispatched++
-		return client.WorkLease{Lease: id, TTLMillis: c.ttl.Milliseconds(), Item: toWireItem(it.spec)}, true
+}
+
+func (c *Coordinator) isClosed() bool {
+	select {
+	case <-c.closed:
+		return true
+	default:
+		return false
 	}
-	return client.WorkLease{}, false
 }
 
 // expireLocked drops every lease past its deadline (all of them when
@@ -235,11 +342,8 @@ func (c *Coordinator) expireLocked(now time.Time, force bool) {
 		}
 		delete(c.leases, id)
 		c.expired++
-		it := l.item
-		if it.state == stateLeased && it.lease == id {
-			it.state = statePending
-			it.lease = ""
-			c.queue = append(c.queue, it)
+		if it := l.item; it.state == stateLeased && it.lease == id {
+			c.enqueueLocked(it)
 			c.requeued++
 		}
 	}
@@ -251,15 +355,37 @@ func (c *Coordinator) expireLocked(now time.Time, force bool) {
 // bit-identical against the first and discarded (Duplicate), and one
 // for an item the coordinator has no record of — e.g. from before a
 // coordinator restart — is acknowledged but not credited (Accepted
-// false). Error completions count toward the item's MaxFailures
-// budget and requeue it until the budget is exhausted.
+// false). Error completions, and successes whose results cannot be
+// the item's (checkResults), count toward the item's MaxFailures
+// budget and requeue it until the budget is exhausted. Complete does
+// not wait: a completion asking for its next lease gets one only if
+// an item is already pending.
 func (c *Coordinator) Complete(comp client.WorkCompletion) client.WorkAck {
-	spec := fromWireItem(comp.Item)
-	k := itemKey(spec)
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	return c.complete(context.Background(), comp, 0)
+}
 
-	it, known := c.items[k]
+// complete credits comp and, when comp.Next is set, parks the same
+// request as a lease request for up to hold, returning the granted
+// lease in the ack.
+func (c *Coordinator) complete(ctx context.Context, comp client.WorkCompletion, hold time.Duration) client.WorkAck {
+	c.mu.Lock()
+	ack := c.completeLocked(comp)
+	if !comp.Next {
+		c.mu.Unlock()
+		return ack
+	}
+	// The waiter registers before the lock drops, and the RunItem
+	// caller this completion unblocked needs the lock to enqueue its
+	// follow-up item — so that item goes to this worker.
+	if l, ok := c.awaitLeaseLocked(ctx, comp.Worker, time.Now().Add(hold)); ok {
+		ack.Next = &l
+	}
+	return ack
+}
+
+func (c *Coordinator) completeLocked(comp client.WorkCompletion) client.WorkAck {
+	spec := fromWireItem(comp.Item)
+	it, known := c.items[spec]
 	l, leaseLive := c.leases[comp.Lease]
 	if leaseLive {
 		delete(c.leases, comp.Lease)
@@ -290,10 +416,10 @@ func (c *Coordinator) Complete(comp client.WorkCompletion) client.WorkAck {
 		return c.failLocked(it, comp.Error, wasCurrentLease)
 	}
 	results := fromWireResults(comp.Results)
-	if want := wantResults(spec); len(results) != want {
+	if err := checkResults(spec, results); err != nil {
 		// A malformed success is a failure in disguise; the retry
 		// budget applies.
-		return c.failLocked(it, fmt.Sprintf("completion carried %d results, want %d", len(results), want), wasCurrentLease)
+		return c.failLocked(it, err.Error(), wasCurrentLease)
 	}
 	it.state = stateDone
 	it.lease = ""
@@ -319,31 +445,45 @@ func (c *Coordinator) failLocked(it *workItem, msg string, wasCurrentLease bool)
 	if it.failures >= c.maxFail {
 		it.state = stateFailed
 		it.err = fmt.Errorf("dist: item failed %d times, last: %s", it.failures, msg)
-		delete(c.items, it.key)
+		delete(c.items, it.spec)
 		close(it.done)
 		return client.WorkAck{Accepted: true}
 	}
 	if it.state == stateLeased && wasCurrentLease {
-		it.state = statePending
-		it.lease = ""
-		c.queue = append(c.queue, it)
+		c.enqueueLocked(it)
 		c.requeued++
 	}
 	return client.WorkAck{Accepted: true}
 }
 
-// wantResults is how many results a completion for spec must carry.
-func wantResults(spec sim.ItemSpec) int {
+// checkResults rejects a success payload that cannot be spec's result:
+// the wrong number of results, a result naming another trace or
+// configuration, or counters out of order (every mispredicted branch
+// is a conditional, every conditional a record).
+func checkResults(spec sim.ItemSpec, rs []sim.Result) error {
+	want := 1
 	if spec.Exact && spec.Shards > 1 {
-		return spec.Shards
+		want = spec.Shards
 	}
-	return 1
+	if len(rs) != want {
+		return fmt.Errorf("completion carried %d results, want %d", len(rs), want)
+	}
+	for i, r := range rs {
+		if r.Trace != spec.Bench || r.Predictor != spec.Config {
+			return fmt.Errorf("result %d is for %s on %s, want %s on %s", i, r.Predictor, r.Trace, spec.Config, spec.Bench)
+		}
+		if r.Mispredicted > r.Conditionals || r.Conditionals > r.Records {
+			return fmt.Errorf("result %d counters out of order: %d mispredicted, %d conditionals, %d records",
+				i, r.Mispredicted, r.Conditionals, r.Records)
+		}
+	}
+	return nil
 }
 
 // retainDoneLocked keeps the completed item for duplicate detection,
 // evicting the oldest retained completion past the KeepDone bound.
 func (c *Coordinator) retainDoneLocked(it *workItem) {
-	c.doneOrder = append(c.doneOrder, it.key)
+	c.doneOrder = append(c.doneOrder, it.spec)
 	for len(c.doneOrder) > c.keepDone {
 		delete(c.items, c.doneOrder[0])
 		c.doneOrder = c.doneOrder[1:]

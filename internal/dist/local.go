@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"sync"
-	"time"
 
 	"repro/client"
 	"repro/internal/sim"
@@ -29,10 +28,11 @@ type Cluster struct {
 }
 
 // StartLocal starts a coordinator on a loopback listener and n workers
-// polling it. newEngine builds each worker's engine (workers need their
-// own engines: a worker sharing the coordinating engine's store would
-// short-circuit the wire path the cluster exists to exercise; sharing
-// is still fine, just untested here). Close the cluster when done.
+// leasing from it. newEngine builds each worker's engine (workers need
+// their own engines: a worker sharing the coordinating engine's store
+// would short-circuit the wire path the cluster exists to exercise;
+// sharing is still fine, just untested here). Close the cluster when
+// done.
 func StartLocal(n int, cfg CoordinatorConfig, newEngine func(i int) *sim.Engine) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("dist: a local worker cluster needs at least one worker, got %d", n)
@@ -58,7 +58,6 @@ func StartLocal(n int, cfg CoordinatorConfig, newEngine func(i int) *sim.Engine)
 			Client: client.New(cl.URL),
 			Engine: newEngine(i),
 			Name:   fmt.Sprintf("local-%d", i),
-			Poll:   2 * time.Millisecond, // in-process pollers can afford a tight loop
 		}
 		cl.wg.Add(1)
 		go func() {
@@ -69,13 +68,14 @@ func StartLocal(n int, cfg CoordinatorConfig, newEngine func(i int) *sim.Engine)
 	return cl, nil
 }
 
-// Close stops the workers, the HTTP listener, and the coordinator
-// (failing any still-pending items). Idempotent.
+// Close stops the coordinator (failing any still-pending items and
+// answering parked lease requests at once), the workers, and the HTTP
+// listener. Idempotent.
 func (cl *Cluster) Close() {
+	cl.Coordinator.Close()
 	if cl.cancel != nil {
 		cl.cancel()
 	}
 	cl.wg.Wait()
 	_ = cl.srv.Close()
-	cl.Coordinator.Close()
 }

@@ -25,34 +25,36 @@ type Worker struct {
 	Engine *sim.Engine
 	// Name labels the worker in leases and stats.
 	Name string
-	// Poll is the idle back-off between polls of an empty queue;
-	// <=0 means 50ms.
-	Poll time.Duration
 }
 
+// retryBackoff is the pause after a failed lease call — the
+// coordinator may be restarting, and the store-centric design makes
+// blind retry safe — and after an empty answer that came back sooner
+// than a hold would have (a closing coordinator answers at once).
+const retryBackoff = 50 * time.Millisecond
+
 // Run pulls and executes items until ctx is canceled; it returns nil
-// on cancellation (the normal shutdown path). Transport errors back
-// off like an empty queue: the coordinator may be restarting, and the
-// store-centric design makes blind retry safe.
+// on cancellation (the normal shutdown path). Each completion asks for
+// the next lease, so a busy worker spends one round trip per item; a
+// separate lease request (a long poll) is needed only after the
+// coordinator had no work for it.
 func (w *Worker) Run(ctx context.Context) error {
-	poll := w.Poll
-	if poll <= 0 {
-		poll = 50 * time.Millisecond
-	}
-	for {
-		if ctx.Err() != nil {
-			return nil
-		}
-		lease, ok, err := w.Client.LeaseWork(ctx, w.Name)
-		if err != nil || !ok {
-			if ctx.Err() != nil {
-				return nil
+	var next *client.WorkLease
+	for ctx.Err() == nil {
+		if next == nil {
+			t0 := time.Now()
+			lease, ok, err := w.Client.LeaseWork(ctx, w.Name)
+			if err != nil || !ok {
+				if err != nil || time.Since(t0) < retryBackoff {
+					sleepCtx(ctx, retryBackoff)
+				}
+				continue
 			}
-			sleepCtx(ctx, poll)
-			continue
+			next = &lease
 		}
-		w.serve(ctx, lease)
+		next = w.serve(ctx, *next)
 	}
+	return nil
 }
 
 // serve executes one leased item. The two faultinject sites model the
@@ -61,30 +63,35 @@ func (w *Worker) Run(ctx context.Context) error {
 // worker process dying, so the lease must expire and re-dispatch —
 // and "dist/worker.dupcomplete" re-sends a completion that was
 // already delivered, the straggler-double-done case store dedup and
-// coordinator idempotence must absorb.
-func (w *Worker) serve(ctx context.Context, lease client.WorkLease) {
+// coordinator idempotence must absorb. serve returns the next lease
+// the completion's acknowledgment carried, if any.
+func (w *Worker) serve(ctx context.Context, lease client.WorkLease) *client.WorkLease {
 	if faultinject.Err("dist/worker.kill") != nil {
-		return
+		return nil
 	}
-	comp := client.WorkCompletion{Lease: lease.Lease, Item: lease.Item, Worker: w.Name}
+	comp := client.WorkCompletion{Lease: lease.Lease, Item: lease.Item, Worker: w.Name, Next: true}
 	results, err := w.Engine.RunItem(ctx, fromWireItem(lease.Item))
 	if err != nil {
 		if ctx.Err() != nil {
-			return
+			return nil
 		}
 		comp.Error = err.Error()
 	} else {
 		comp.Results = toWireResults(results)
 	}
-	if _, err := w.Client.CompleteWork(ctx, comp); err != nil {
+	ack, err := w.Client.CompleteWork(ctx, comp)
+	if err != nil {
 		// Undeliverable completion: the lease expires and the item
 		// re-dispatches; this worker's simulated shards are already in
 		// its local store, so a re-run here would be a cache hit.
-		return
+		return nil
 	}
 	if faultinject.Err("dist/worker.dupcomplete") != nil {
-		_, _ = w.Client.CompleteWork(ctx, comp)
+		dup := comp
+		dup.Next = false
+		_, _ = w.Client.CompleteWork(ctx, dup)
 	}
+	return ack.Next
 }
 
 // sleepCtx sleeps d or until ctx is canceled.

@@ -67,11 +67,19 @@ func Register(name string, b Builder) {
 
 // New builds the named configuration.
 func New(name string) (Predictor, error) {
-	b, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("predictor: unknown configuration %q", name)
+	if err := Known(name); err != nil {
+		return nil, err
 	}
-	return b(), nil
+	return registry[name](), nil
+}
+
+// Known reports, without building anything, the error New would
+// return for name: nil for a registered configuration.
+func Known(name string) error {
+	if _, ok := registry[name]; !ok {
+		return fmt.Errorf("predictor: unknown configuration %q", name)
+	}
+	return nil
 }
 
 // MustNew builds the named configuration and panics on error; for

@@ -31,8 +31,20 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestUnknownConfig(t *testing.T) {
-	if _, err := New("no-such-predictor"); err == nil {
-		t.Error("unknown name accepted")
+	const want = `predictor: unknown configuration "no-such-predictor"`
+	if _, err := New("no-such-predictor"); err == nil || err.Error() != want {
+		t.Errorf("New err = %v, want %s", err, want)
+	}
+	if err := Known("no-such-predictor"); err == nil || err.Error() != want {
+		t.Errorf("Known err = %v, want %s", err, want)
+	}
+}
+
+func TestKnownMatchesRegistry(t *testing.T) {
+	for _, name := range Names() {
+		if err := Known(name); err != nil {
+			t.Errorf("Known(%s) = %v", name, err)
+		}
 	}
 }
 

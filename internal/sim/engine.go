@@ -131,11 +131,8 @@ type Engine struct {
 	// the machine.
 	sem chan struct{}
 	// remote, when non-nil, dispatches registry-rebuildable work items
-	// to another process (DESIGN.md §14); remoteOK caches the
-	// per-config eligibility verdict (predictor construction is
-	// expensive).
+	// to another process (DESIGN.md §14).
 	remote    RemoteRunner
-	remoteOK  sync.Map
 	simulated atomic.Uint64
 	hits      atomic.Uint64
 	records   atomic.Uint64
@@ -419,7 +416,7 @@ func (e *Engine) feedWindow(p predictor.Predictor, b workload.Benchmark, budget,
 // dispatch — local shard simulation is the engine's atomic unit and
 // runs to completion once started.
 func (e *Engine) runShard(ctx context.Context, builder func() predictor.Predictor, config, suite string, b workload.Benchmark, budget, shard int) (Result, bool) {
-	if e.remote != nil && e.remoteEligible(config, b.Name) {
+	if e.remote != nil && remoteEligible(config, b.Name) {
 		key := Key{
 			Engine: EngineVersion, Config: config, Suite: suite, Trace: b.Name,
 			Budget: budget, Seed: b.Seed, Shard: shard, Shards: e.shards, Warmup: e.warmup,
@@ -527,7 +524,7 @@ func exactKey(config, suite string, b workload.Benchmark, budget, i, n int) Key 
 // shard i-1's boundary, so only the whole chain is
 // location-independent (ItemSpec.Exact).
 func (e *Engine) runBenchExact(ctx context.Context, builder func() predictor.Predictor, config, suite string, b workload.Benchmark, budget int, emit func(trace string, shard int, hit bool)) ([]Result, int) {
-	if e.remote != nil && e.remoteEligible(config, b.Name) {
+	if e.remote != nil && remoteEligible(config, b.Name) {
 		return e.runBenchExactRemote(ctx, config, suite, b, budget, emit)
 	}
 	return e.runBenchExactGeom(ctx, builder, config, suite, b, budget, e.shards, emit)

@@ -50,7 +50,7 @@ type ItemSpec struct {
 // Validate checks that the item can be reconstructed from the local
 // registries and that its geometry is coherent.
 func (it ItemSpec) Validate() error {
-	if _, err := predictor.New(it.Config); err != nil {
+	if err := predictor.Known(it.Config); err != nil {
 		return fmt.Errorf("sim: item config: %w", err)
 	}
 	if _, err := workload.ByName(it.Bench); err != nil {
@@ -94,17 +94,12 @@ type RemoteRunner interface {
 // reconstructible by name from the registries on the other side.
 // Engine callers' contract that a config name uniquely identifies what
 // its builder builds (RunSuite) is what makes the by-name rebuild
-// equivalent. Predictor construction allocates full table state, so
-// the per-config verdict is cached.
-func (e *Engine) remoteEligible(config, bench string) bool {
-	if _, err := workload.ByName(bench); err != nil {
+// equivalent.
+func remoteEligible(config, bench string) bool {
+	if predictor.Known(config) != nil {
 		return false
 	}
-	if ok, hit := e.remoteOK.Load(config); hit {
-		return ok.(bool)
-	}
-	_, err := predictor.New(config)
-	e.remoteOK.Store(config, err == nil)
+	_, err := workload.ByName(bench)
 	return err == nil
 }
 

@@ -18,8 +18,10 @@ func TestItemSpecValidate(t *testing.T) {
 		want string // substring of the error, "" = valid
 	}{
 		{"valid", func(*ItemSpec) {}, ""},
-		{"unknown config", func(s *ItemSpec) { s.Config = "no-such-config" }, "config"},
-		{"unknown bench", func(s *ItemSpec) { s.Bench = "no-such-bench" }, "bench"},
+		{"unknown config", func(s *ItemSpec) { s.Config = "no-such-config" },
+			`sim: item config: predictor: unknown configuration "no-such-config"`},
+		{"unknown bench", func(s *ItemSpec) { s.Bench = "no-such-bench" },
+			`sim: item bench: workload: unknown benchmark "no-such-bench"`},
 		{"zero budget", func(s *ItemSpec) { s.Budget = 0 }, "budget"},
 		{"zero shards", func(s *ItemSpec) { s.Shards = 0 }, "shards"},
 		{"negative shard", func(s *ItemSpec) { s.Shard = -1 }, "out of range"},
@@ -38,6 +40,20 @@ func TestItemSpecValidate(t *testing.T) {
 		} else if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Validate = %v, want error mentioning %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestItemSpecValidateAllocFree: validating a well-formed item is a
+// pair of registry lookups — no predictor or benchmark is built.
+func TestItemSpecValidateAllocFree(t *testing.T) {
+	item := ItemSpec{Config: "tage-sc-l+imli", Suite: "cbp4", Bench: "SPEC2K6-04", Seed: 1,
+		Budget: 1000, Shard: 1, Shards: 4, Warmup: 100}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := item.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Validate allocates %.1f times per call, want 0", allocs)
 	}
 }
 

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/num"
 	"repro/internal/trace"
@@ -400,12 +401,23 @@ func All() []Benchmark {
 	return append(CBP4(), CBP3()...)
 }
 
-// ByName returns the named benchmark.
+// catalog indexes every benchmark by name, built once. Definitions are
+// immutable after construction; each part slice is capped at its
+// length, so no copy handed out by ByName can append into another's.
+var catalog = sync.OnceValue(func() map[string]Benchmark {
+	all := All()
+	m := make(map[string]Benchmark, len(all))
+	for _, b := range all {
+		b.parts = b.parts[:len(b.parts):len(b.parts)]
+		m[b.Name] = b
+	}
+	return m
+})
+
+// ByName returns a copy of the named benchmark.
 func ByName(name string) (Benchmark, error) {
-	for _, b := range All() {
-		if b.Name == name {
-			return b, nil
-		}
+	if b, ok := catalog()[name]; ok {
+		return b, nil
 	}
 	return Benchmark{}, fmt.Errorf("workload: unknown benchmark %q", name)
 }

@@ -43,8 +43,61 @@ func TestPaperBenchmarksPresent(t *testing.T) {
 }
 
 func TestByNameUnknown(t *testing.T) {
-	if _, err := ByName("NOPE"); err == nil {
-		t.Error("unknown benchmark accepted")
+	_, err := ByName("NOPE")
+	if err == nil || err.Error() != `workload: unknown benchmark "NOPE"` {
+		t.Errorf("ByName(NOPE) err = %v, want the unknown-benchmark error", err)
+	}
+}
+
+// firstRecords generates b's first n records.
+func firstRecords(b Benchmark, n int) []trace.Record {
+	var out []trace.Record
+	b.Generate(n, func(r trace.Record) {
+		if len(out) < n {
+			out = append(out, r)
+		}
+	})
+	return out
+}
+
+// TestByNameMatchesAll: the catalog lookup returns, for every
+// benchmark, a definition equal to the freshly built one — same
+// identity and the same generated stream.
+func TestByNameMatchesAll(t *testing.T) {
+	for _, want := range All() {
+		got, err := ByName(want.Name)
+		if err != nil {
+			t.Fatalf("ByName(%s): %v", want.Name, err)
+		}
+		if got.Name != want.Name || got.Suite != want.Suite || got.Seed != want.Seed {
+			t.Fatalf("ByName(%s) = {%s %s %d}, want {%s %s %d}", want.Name,
+				got.Name, got.Suite, got.Seed, want.Name, want.Suite, want.Seed)
+		}
+		g, w := firstRecords(got, 1000), firstRecords(want, 1000)
+		if len(g) != len(w) {
+			t.Fatalf("%s: %d records vs %d", want.Name, len(g), len(w))
+		}
+		for i := range w {
+			if g[i] != w[i] {
+				t.Fatalf("%s: record %d = %+v, want %+v", want.Name, i, g[i], w[i])
+			}
+		}
+	}
+}
+
+// TestByNameReturnsCopy: a caller reseeding its copy (as the engine
+// does for seed variants) must not change what the next lookup sees.
+func TestByNameReturnsCopy(t *testing.T) {
+	b, err := ByName("MM-4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := b.Seed
+	b.Seed ^= 0xdead
+	b.Suite = "mutated"
+	again, _ := ByName("MM-4")
+	if again.Seed != seed || again.Suite != "cbp4" {
+		t.Fatalf("mutation leaked into the catalog: %+v", again)
 	}
 }
 
