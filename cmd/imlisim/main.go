@@ -131,27 +131,6 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	// newEngine builds the run's engine; with -workers its in-process
-	// simulation is replaced by a loopback coordinator queue served by
-	// a local worker cluster (DESIGN.md §14) — same wire path as a real
-	// fleet, bit-identical results. The caller must invoke the returned
-	// cleanup when the run is done.
-	newEngine := func() (*sim.Engine, func(), error) {
-		cfg := eng.Config()
-		if *workers == 0 {
-			return sim.NewEngine(cfg), func() {}, nil
-		}
-		streams := workload.NewStreamCache(cfg.StreamMemory, "")
-		cluster, err := dist.StartLocal(*workers, dist.CoordinatorConfig{}, func(int) *sim.Engine {
-			return sim.NewEngine(sim.EngineConfig{Streams: streams})
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		cfg.Remote = cluster.Coordinator
-		return sim.NewEngine(cfg), func() { cluster.Close() }, nil
-	}
-
 	switch {
 	case *listPredictors:
 		names := predictor.Names()
@@ -169,7 +148,10 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		if *traceFile != "" {
 			return fmt.Errorf("-all-configs works on -suite or -bench, not -trace")
 		}
-		engine, done, err := newEngine()
+		// With -workers the engine coordinates a loopback worker
+		// cluster (DESIGN.md §14): same wire path as a real fleet,
+		// bit-identical results.
+		engine, done, err := dist.NewEngine(eng.Config(), *workers)
 		if err != nil {
 			return err
 		}
@@ -206,7 +188,7 @@ func run(argv []string, stdout, stderr io.Writer) error {
 		if _, err := predictor.New(*config); err != nil {
 			return err
 		}
-		engine, done, err := newEngine()
+		engine, done, err := dist.NewEngine(eng.Config(), *workers)
 		if err != nil {
 			return err
 		}

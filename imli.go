@@ -235,18 +235,11 @@ func SimulateSuite(config, suite string, budget int, opts ...Option) (SuiteRun, 
 	if err != nil {
 		return SuiteRun{}, err
 	}
-	cfg := o.engineConfig()
-	if o.workers > 0 {
-		cluster, err := dist.StartLocal(o.workers, dist.CoordinatorConfig{}, func(i int) *sim.Engine {
-			return sim.NewEngine(sim.EngineConfig{})
-		})
-		if err != nil {
-			return SuiteRun{}, err
-		}
-		defer cluster.Close()
-		cfg.Remote = cluster.Coordinator
+	engine, closeEngine, err := dist.NewEngine(o.engineConfig(), o.workers)
+	if err != nil {
+		return SuiteRun{}, err
 	}
-	engine := sim.NewEngine(cfg)
+	defer closeEngine()
 	builder := func() Predictor { return predictor.MustNew(config) }
 	return engine.RunSuite(builder, config, suite, benches, budget), nil
 }

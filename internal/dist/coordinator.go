@@ -458,8 +458,11 @@ func (c *Coordinator) failLocked(it *workItem, msg string, wasCurrentLease bool)
 
 // checkResults rejects a success payload that cannot be spec's result:
 // the wrong number of results, a result naming another trace or
-// configuration, or counters out of order (every mispredicted branch
-// is a conditional, every conditional a record).
+// configuration, counters out of order (every mispredicted branch is a
+// conditional, every conditional a record), or a record count that
+// does not fit the shard's stream window (sim.ItemSpec.Window): exactly
+// the window for a bounded shard, at least the window for the
+// unbounded tail.
 func checkResults(spec sim.ItemSpec, rs []sim.Result) error {
 	want := 1
 	if spec.Exact && spec.Shards > 1 {
@@ -475,6 +478,15 @@ func checkResults(spec sim.ItemSpec, rs []sim.Result) error {
 		if r.Mispredicted > r.Conditionals || r.Conditionals > r.Records {
 			return fmt.Errorf("result %d counters out of order: %d mispredicted, %d conditionals, %d records",
 				i, r.Mispredicted, r.Conditionals, r.Records)
+		}
+		shard := spec.Shard
+		if want > 1 {
+			shard = i
+		}
+		start, end, unbounded := spec.Window(shard)
+		if n := uint64(end - start); r.Records < n || (!unbounded && r.Records != n) {
+			return fmt.Errorf("result %d measured %d records, shard %d/%d window holds %d",
+				i, r.Records, shard, spec.Shards, n)
 		}
 	}
 	return nil

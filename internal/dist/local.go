@@ -9,12 +9,13 @@ import (
 
 	"repro/client"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Cluster is a self-contained coordinator plus n worker loops talking
 // to it over a real loopback HTTP listener — the same wire path a
 // multi-machine deployment uses, shrunk into one process. It backs
-// imli.WithWorkers and the bit-identity/chaos tests.
+// NewEngine and the bit-identity/chaos tests.
 type Cluster struct {
 	// Coordinator is the cluster's queue; pass it as the engine's
 	// RemoteRunner.
@@ -78,4 +79,28 @@ func (cl *Cluster) Close() {
 	}
 	cl.wg.Wait()
 	_ = cl.srv.Close()
+}
+
+// NewEngine returns an engine for cfg and a function that releases it.
+// With workers > 0 the engine coordinates a loopback cluster of that
+// many workers (StartLocal) — the same wire path as a real fleet, with
+// bit-identical results — and the close function stops the cluster.
+// The engine and its workers share one stream cache (cfg.Streams, or a
+// fresh one sized by cfg.StreamMemory), so each benchmark materializes
+// once per process. With workers <= 0 it is sim.NewEngine(cfg).
+func NewEngine(cfg sim.EngineConfig, workers int) (*sim.Engine, func(), error) {
+	if workers <= 0 {
+		return sim.NewEngine(cfg), func() {}, nil
+	}
+	if cfg.Streams == nil && cfg.StreamMemory >= 0 {
+		cfg.Streams = workload.NewStreamCache(cfg.StreamMemory, "")
+	}
+	cl, err := StartLocal(workers, CoordinatorConfig{}, func(int) *sim.Engine {
+		return sim.NewEngine(sim.EngineConfig{Streams: cfg.Streams, StreamMemory: cfg.StreamMemory})
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg.Remote = cl.Coordinator
+	return sim.NewEngine(cfg), cl.Close, nil
 }

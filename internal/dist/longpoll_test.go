@@ -314,9 +314,10 @@ func TestClusterCloseReleasesParkedWorkers(t *testing.T) {
 }
 
 // TestCompleteRejectsForgedResults: completions whose results name the
-// wrong trace or configuration, or whose counters are impossible, are
-// failures — the honest completion that follows is what the engine's
-// RunItem caller and its store receive.
+// wrong trace or configuration, whose counters are impossible, or
+// whose record count does not fit the shard's window are failures —
+// the honest completion that follows is what the engine's RunItem
+// caller and its store receive.
 func TestCompleteRejectsForgedResults(t *testing.T) {
 	c := NewCoordinator(CoordinatorConfig{MaxFailures: 10})
 	defer c.Close()
@@ -331,7 +332,10 @@ func TestCompleteRejectsForgedResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	eng := sim.NewEngine(sim.EngineConfig{Workers: 1, CacheDir: dir, Remote: c})
+	// Two bounded shards, served one at a time (Workers 1): each must
+	// measure exactly its window, so a record count off by one either
+	// way is a forgery.
+	eng := sim.NewEngine(sim.EngineConfig{Workers: 1, Shards: 2, CacheDir: dir, Remote: c})
 	runCh := make(chan sim.SuiteRun, 1)
 	go func() {
 		runCh <- eng.RunSuite(builderFor(config), config, "cbp4", []workload.Benchmark{b}, budget)
@@ -349,16 +353,24 @@ func TestCompleteRejectsForgedResults(t *testing.T) {
 			}
 		}
 	}
-	l := lease()
-	honest, err := sim.NewEngine(sim.EngineConfig{}).RunItem(ctx, fromWireItem(l.Item))
-	if err != nil {
-		t.Fatal(err)
+	runItem := func(l client.WorkLease) []sim.Result {
+		t.Helper()
+		res, err := sim.NewEngine(sim.EngineConfig{}).RunItem(ctx, fromWireItem(l.Item))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
+	l := lease()
+	forged := fromWireItem(l.Item)
+	honest := runItem(l)
 	forgeries := []func(r *client.WorkResult){
 		func(r *client.WorkResult) { r.Trace = "SPEC2K6-04" },
 		func(r *client.WorkResult) { r.Predictor = "bimodal" },
 		func(r *client.WorkResult) { r.Mispredicted = r.Conditionals + 1 },
 		func(r *client.WorkResult) { r.Conditionals = r.Records + 1 },
+		func(r *client.WorkResult) { r.Records++ },
+		func(r *client.WorkResult) { r.Records-- },
 	}
 	for i, forge := range forgeries {
 		res := toWireResults(honest)
@@ -373,20 +385,68 @@ func TestCompleteRejectsForgedResults(t *testing.T) {
 		Results: toWireResults(honest)}); err != nil {
 		t.Fatal(err)
 	}
+	// The other shard completes honestly.
+	l = lease()
+	other := runItem(l)
+	if _, err := cl.CompleteWork(ctx, client.WorkCompletion{Lease: l.Lease, Item: l.Item,
+		Results: toWireResults(other)}); err != nil {
+		t.Fatal(err)
+	}
 
 	run := <-runCh
-	if len(run.Results) != 1 || run.Results[0] != honest[0] {
-		t.Fatalf("engine got %+v, want the honest %+v", run.Results, honest[0])
+	if want := sim.MergeShards([]sim.Result{honest[0], other[0]}); len(run.Results) != 1 || run.Results[0] != want {
+		t.Fatalf("engine got %+v, want the honest %+v", run.Results, want)
 	}
-	item := fromWireItem(l.Item)
-	stored, ok := sim.OpenStore(dir).Load(sim.Key{Engine: sim.EngineVersion, Config: item.Config,
-		Suite: item.Suite, Trace: item.Bench, Budget: item.Budget, Seed: item.Seed,
-		Shard: item.Shard, Shards: item.Shards, Warmup: item.Warmup})
+	stored, ok := sim.OpenStore(dir).Load(sim.Key{Engine: sim.EngineVersion, Config: forged.Config,
+		Suite: forged.Suite, Trace: forged.Bench, Budget: forged.Budget, Seed: forged.Seed,
+		Shard: forged.Shard, Shards: forged.Shards, Warmup: forged.Warmup})
 	if !ok || stored != honest[0] {
 		t.Fatalf("store holds %+v (found %v), want the honest %+v", stored, ok, honest[0])
 	}
-	if st := c.Stats(); st.Failures != uint64(len(forgeries)) || st.Completed != 1 {
+	if st := c.Stats(); st.Failures != uint64(len(forgeries)) || st.Completed != 2 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestCheckResultsRecordWindow: a completion's record count must fit
+// its shard's window — exactly for a bounded shard, at least for the
+// unbounded tail (the unsharded item, the last shard of an exact
+// chain), whose generator overshoots at episode granularity.
+func TestCheckResultsRecordWindow(t *testing.T) {
+	res := func(records ...uint64) []sim.Result {
+		out := make([]sim.Result, len(records))
+		for i, n := range records {
+			out[i] = sim.Result{Trace: "MM-4", Predictor: "gshare", Records: n}
+		}
+		return out
+	}
+	plain := func(shard, shards int) sim.ItemSpec {
+		return sim.ItemSpec{Config: "gshare", Suite: "cbp4", Bench: "MM-4", Budget: 1000,
+			Shard: shard, Shards: shards, Warmup: 100}
+	}
+	chain := sim.ItemSpec{Config: "gshare", Suite: "cbp4", Bench: "MM-4", Budget: 1000, Shards: 3, Exact: true}
+	cases := []struct {
+		name string
+		spec sim.ItemSpec
+		rs   []sim.Result
+		ok   bool
+	}{
+		{"unsharded exact", plain(0, 1), res(1000), true},
+		{"unsharded overshoot", plain(0, 1), res(1037), true},
+		{"unsharded short", plain(0, 1), res(999), false},
+		{"first shard exact", plain(0, 3), res(334), true},
+		{"last shard exact", plain(2, 3), res(333), true},
+		{"bounded shard over", plain(2, 3), res(334), false},
+		{"bounded shard under", plain(0, 3), res(333), false},
+		{"chain exact", chain, res(334, 333, 333), true},
+		{"chain tail overshoot", chain, res(334, 333, 360), true},
+		{"chain tail short", chain, res(334, 333, 332), false},
+		{"chain middle over", chain, res(334, 334, 333), false},
+	}
+	for _, tc := range cases {
+		if err := checkResults(tc.spec, tc.rs); (err == nil) != tc.ok {
+			t.Errorf("%s: checkResults = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }
 

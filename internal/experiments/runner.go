@@ -130,9 +130,10 @@ func QuickParams() Params { return Params{Budget: 40000} }
 // deduplicates suite runs inside one process; the engine's result
 // store (Params.CacheDir) makes them incremental across processes.
 type Runner struct {
-	params  Params
-	engine  *sim.Engine
-	cluster *dist.Cluster
+	params Params
+	engine *sim.Engine
+	// close releases the engine's local worker cluster, if any.
+	close func()
 
 	mu      sync.Mutex
 	suites  map[string][]workload.Benchmark
@@ -152,32 +153,21 @@ func NewRunner(p Params) *Runner {
 		panic(err)
 	}
 	engine := p.Engine
-	var cluster *dist.Cluster
+	closeEngine := func() {}
 	if engine == nil {
-		cfg := sim.EngineConfig{
+		var err error
+		engine, closeEngine, err = dist.NewEngine(sim.EngineConfig{
 			Workers: p.Parallel, Shards: p.Shards, CacheDir: p.CacheDir, StreamMemory: p.StreamMemory,
 			Snapshots: p.Snapshots, ExactShards: p.ExactShards,
+		}, p.Workers)
+		if err != nil {
+			panic(err) // a loopback listener failing to open is not recoverable here
 		}
-		if p.Workers > 0 {
-			// Local worker cluster: the runner's engine coordinates, and
-			// the workers share one stream cache so each benchmark still
-			// materializes once per process.
-			streams := workload.NewStreamCache(p.StreamMemory, "")
-			var err error
-			cluster, err = dist.StartLocal(p.Workers, dist.CoordinatorConfig{}, func(i int) *sim.Engine {
-				return sim.NewEngine(sim.EngineConfig{Streams: streams})
-			})
-			if err != nil {
-				panic(err) // p.Workers > 0 rules out the only config error
-			}
-			cfg.Remote = cluster.Coordinator
-		}
-		engine = sim.NewEngine(cfg)
 	}
 	return &Runner{
 		params:  p,
 		engine:  engine,
-		cluster: cluster,
+		close:   closeEngine,
 		suites:  workload.Suites(),
 		cache:   map[string]sim.SuiteRun{},
 		started: map[string]chan struct{}{},
@@ -190,15 +180,7 @@ func (r *Runner) Params() Params { return r.params }
 // Close stops the runner's local worker cluster, when Params.Workers
 // started one. Safe to call on any runner, any number of times;
 // in-process runners are unaffected.
-func (r *Runner) Close() {
-	r.mu.Lock()
-	cl := r.cluster
-	r.cluster = nil
-	r.mu.Unlock()
-	if cl != nil {
-		cl.Close()
-	}
-}
+func (r *Runner) Close() { r.close() }
 
 // EngineStats reports how much work the runner's engine simulated
 // versus served from the on-disk store.

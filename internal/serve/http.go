@@ -120,6 +120,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
+// maxSpecBytes bounds a job submission body, at the bound the work
+// endpoints use: a spec is a handful of short fields, so a megabyte is
+// far past any honest one.
+const maxSpecBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if faultinject.Err("serve/http.submit") != nil {
 		// Injected transient overload: the same envelope a real one
@@ -129,8 +134,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec client.Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, &httpError{code: http.StatusBadRequest, msg: "bad job spec: " + err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, &httpError{code: code, msg: "bad job spec: " + err.Error()})
 		return
 	}
 	view, err := s.Submit(spec)

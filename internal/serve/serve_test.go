@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -52,6 +53,32 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, err := c.Job(ctx, "j999"); err == nil {
 		t.Error("Job(j999) should 404")
+	}
+}
+
+// TestSubmitBodyBounded: a submission body past 1 MiB is refused with
+// 413 without being decoded; malformed JSON stays a 400.
+func TestSubmitBodyBounded(t *testing.T) {
+	srv := serve.NewServer(serve.Config{})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	defer srv.Drain(context.Background())
+	cases := []struct {
+		name, body string
+		want       int
+	}{
+		{"oversized", `{"type":"suite","config":"` + strings.Repeat("x", 1<<20) + `"}`, http.StatusRequestEntityTooLarge},
+		{"malformed", `{"type":`, http.StatusBadRequest},
+	}
+	for _, tc := range cases {
+		resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s body: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
 	}
 }
 

@@ -306,62 +306,57 @@ func (e *Engine) RunSuite(builder func() predictor.Predictor, name, suite string
 // the context's error; the partial SuiteRun must be discarded (skipped
 // benchmarks read as zero results), but every item that did complete
 // was stored normally, so a re-run is incremental. onItem, when
-// non-nil, is invoked after each completed work item; calls are
-// serialized and Done is strictly increasing, so callers may forward
-// events without locking.
+// non-nil, is invoked once per shard of each completed work item;
+// calls are serialized and Done is strictly increasing, so callers may
+// forward events without locking.
 func (e *Engine) RunSuiteContext(ctx context.Context, builder func() predictor.Predictor, name, suite string, benches []workload.Benchmark, budget int, onItem func(ItemEvent)) (SuiteRun, error) {
+	// The engine's geometry as work items: one per (benchmark, shard),
+	// or in exact mode one chain per benchmark covering all its shards.
+	// A chain executes sequentially on one worker; the pool then
+	// parallelizes across benchmarks.
+	n, per := e.shards, 1
+	if e.exact && n > 1 {
+		per = n
+	}
+	items := make([]ItemSpec, 0, len(benches)*n/per)
+	for _, b := range benches {
+		for si := 0; si < n; si += per {
+			it := ItemSpec{Config: name, Suite: suite, Bench: b.Name, Seed: b.Seed,
+				Budget: budget, Shard: si, Shards: n, Warmup: e.warmup}
+			if per > 1 {
+				it.Warmup, it.Exact = 0, true
+			}
+			items = append(items, it)
+		}
+	}
+	// Item i fills shards [i*per, (i+1)*per) of the benchmark-major
+	// shard table.
+	shards := make([]Result, len(benches)*n)
+	var mu sync.Mutex
+	cached, done := 0, 0
+	e.forEach(ctx, len(items), func(i int) {
+		b := benches[i*per/n]
+		hit, ok := e.run(ctx, builder, b, items[i], shards[i*per:(i+1)*per])
+		mu.Lock()
+		defer mu.Unlock()
+		for j, h := range hit {
+			if h {
+				cached++
+			}
+			if ok && onItem != nil {
+				done++
+				onItem(ItemEvent{Config: name, Suite: suite, Trace: b.Name, Shard: items[i].Shard + j,
+					Done: done, Total: len(shards), Cached: h})
+			}
+		}
+	})
+
 	run := SuiteRun{Config: name, Suite: suite, Results: make([]Result, len(benches))}
-	shardRes := make([][]Result, len(benches))
-	var cached atomic.Uint64
-	total := len(benches) * e.shards
-	var progressMu sync.Mutex
-	done := 0
-	emit := func(trace string, shard int, hit bool) {
-		if onItem == nil {
-			return
-		}
-		progressMu.Lock()
-		done++
-		ev := ItemEvent{Config: name, Suite: suite, Trace: trace, Shard: shard,
-			Done: done, Total: total, Cached: hit}
-		onItem(ev)
-		progressMu.Unlock()
+	for bi := range benches {
+		run.Results[bi] = MergeShards(shards[bi*n : (bi+1)*n])
 	}
-
-	if e.exact && e.shards > 1 {
-		// Exact mode: a benchmark's shards chain through boundary
-		// snapshots and so execute sequentially on one worker; the
-		// pool parallelizes across benchmarks.
-		e.forEach(ctx, len(benches), func(bi int) {
-			res, hit := e.runBenchExact(ctx, builder, name, suite, benches[bi], budget, emit)
-			shardRes[bi] = res
-			cached.Add(uint64(hit))
-		})
-	} else {
-		type item struct{ bench, shard int }
-		items := make([]item, 0, total)
-		for bi := range benches {
-			shardRes[bi] = make([]Result, e.shards)
-			for si := 0; si < e.shards; si++ {
-				items = append(items, item{bi, si})
-			}
-		}
-		e.forEach(ctx, len(items), func(i int) {
-			it := items[i]
-			res, hit := e.runShard(ctx, builder, name, suite, benches[it.bench], budget, it.shard)
-			if hit {
-				cached.Add(1)
-			}
-			shardRes[it.bench][it.shard] = res
-			emit(benches[it.bench].Name, it.shard, hit)
-		})
-	}
-
-	for i := range benches {
-		run.Results[i] = MergeShards(shardRes[i])
-	}
-	run.RanShards = total - int(cached.Load())
-	run.CachedShards = int(cached.Load())
+	run.CachedShards = cached
+	run.RanShards = len(shards) - cached
 	return run, ctx.Err()
 }
 
@@ -409,89 +404,149 @@ func (e *Engine) feedWindow(p predictor.Predictor, b workload.Benchmark, budget,
 	return res, finalPos, fed
 }
 
-// runShard serves one work item with the engine's own geometry,
-// dispatching it to the RemoteRunner when one is configured and the
-// item is rebuildable by name on the other side (DESIGN.md §14);
-// everything else takes the local path. ctx only governs remote
-// dispatch — local shard simulation is the engine's atomic unit and
-// runs to completion once started.
-func (e *Engine) runShard(ctx context.Context, builder func() predictor.Predictor, config, suite string, b workload.Benchmark, budget, shard int) (Result, bool) {
-	if e.remote != nil && remoteEligible(config, b.Name) {
-		key := Key{
-			Engine: EngineVersion, Config: config, Suite: suite, Trace: b.Name,
-			Budget: budget, Seed: b.Seed, Shard: shard, Shards: e.shards, Warmup: e.warmup,
-		}
+// run is the engine's one work-item executor, behind both suite runs
+// and leased items (RunItem). It fills out with one result per shard
+// the item covers, from shard it.Shard on, and reports which shards
+// the store served. The other shards go to the RemoteRunner when one
+// is configured and the item can be rebuilt by name on the other side
+// (DESIGN.md §14). Otherwise they are simulated here: a plain shard,
+// or the exact chain. ok is false when ctx canceled the item before it
+// completed; out must then be discarded. Local simulation is the
+// engine's atomic unit, so ctx only stops remote dispatch and chains
+// (at a shard boundary).
+func (e *Engine) run(ctx context.Context, builder func() predictor.Predictor, b workload.Benchmark, it ItemSpec, out []Result) (hit []bool, ok bool) {
+	hit = make([]bool, len(out))
+	missing := 0
+	for i := range out {
 		if e.store != nil {
-			if res, ok := e.store.Load(key); ok {
-				e.hits.Add(1)
-				return res, true
-			}
+			out[i], hit[i] = e.store.Load(it.key(it.Shard + i))
 		}
-		item := ItemSpec{
-			Config: config, Suite: suite, Bench: b.Name, Seed: b.Seed,
-			Budget: budget, Shard: shard, Shards: e.shards, Warmup: e.warmup,
-		}
-		return e.runItemRemote(ctx, key, item), false
-	}
-	return e.runShardGeom(builder, config, suite, b, budget, shard, e.shards, e.warmup)
-}
-
-// runShardGeom serves one work item locally with explicit shard
-// geometry (shards, warmup) — the engine's geometry for local suite
-// runs, the item's geometry when a worker daemon executes a leased
-// ItemSpec (Engine.RunItem), so the store key and the simulated window
-// are those of the dispatching coordinator, not of the worker's own
-// configuration. A shard reads its window of the benchmark's
-// materialized stream (generated once per (trace, seed, budget) and
-// shared across shards and configurations; see DESIGN.md §6), discards
-// records before its warm-up window, trains unmeasured through the
-// window, and measures its segment. Unsharded runs with the snapshot
-// layer enabled first look for a cached prefix snapshot to resume
-// from, and persist their end-of-run state for future longer-budget
-// runs (DESIGN.md §8).
-func (e *Engine) runShardGeom(builder func() predictor.Predictor, config, suite string, b workload.Benchmark, budget, shard, shards, warmup int) (Result, bool) {
-	key := Key{
-		Engine: EngineVersion, Config: config, Suite: suite, Trace: b.Name,
-		Budget: budget, Seed: b.Seed, Shard: shard, Shards: shards, Warmup: warmup,
-	}
-	if e.store != nil {
-		if res, ok := e.store.Load(key); ok {
+		if hit[i] {
 			e.hits.Add(1)
-			return res, true
+		} else {
+			missing++
 		}
+	}
+	switch {
+	case missing == 0:
+		return hit, true
+	case e.remote != nil && remoteEligible(it.Config, it.Bench):
+		return hit, e.dispatch(ctx, it, out, hit)
 	}
 	if err := faultinject.Err("sim/engine.item"); err != nil {
 		// Injected work-item failure: panic so forEach re-raises on the
 		// caller, the same path a real simulation bug would take.
 		panic(err)
 	}
-	start := workload.ShardStart(budget, shard, shards)
-	end := start + workload.ShardBudget(budget, shard, shards)
-	skip := start - warmup
-	if skip < 0 {
-		skip = 0
+	if it.chain() {
+		return hit, e.simulateChain(ctx, builder, b, it, out, hit)
 	}
-	measureEnd := end
-	if shards == 1 {
-		// Unsharded runs keep the generator's episode-granular
-		// overshoot, bit-identical to a plain Feed.
-		measureEnd = noLimit
-	}
+	// A plain shard reads its window of the benchmark's materialized
+	// stream (DESIGN.md §6), skips records before its warm-up window,
+	// trains unmeasured through the window, and measures its segment.
+	// An unsharded item with the snapshot layer on first resumes from
+	// the longest cached prefix and persists its end-of-run state for
+	// later, longer-budget runs (DESIGN.md §8).
+	start, _, _ := it.Window(it.Shard)
+	skip := max(start-it.Warmup, 0)
+	resume := e.snapshots && it.Shards == 1 && e.store != nil
 	var p predictor.Predictor
 	var partial Result
-	canSnapshot := e.snapshots && shards == 1 && e.store != nil
-	if canSnapshot {
-		if rp, part, pos := e.tryResume(builder, config, suite, b, budget); rp != nil {
-			// The snapshot carries both the exact predictor state at
-			// pos and the counters measured over [0, pos); measurement
-			// continues at pos.
-			p, partial, skip, start = rp, part, pos, pos
-		}
-	}
-	if p == nil {
+	if resume {
+		// The snapshot carries both the predictor state at its position
+		// and the counters measured before it; measurement goes on from
+		// there.
+		p, partial, skip = e.restore(builder, it, it.Budget)
+		start = skip
+	} else {
 		p = builder()
 	}
-	res, finalPos, fed := e.feedWindow(p, b, budget, skip, start, measureEnd)
+	var finalPos int
+	out[0], finalPos = e.simulate(p, b, it, it.Shard, skip, start, partial)
+	if resume && finalPos > 0 {
+		e.saveSnapshot(p, it.snapKey(finalPos), out[0])
+	}
+	return hit, true
+}
+
+// dispatch runs the item on the RemoteRunner and stores the results of
+// the shards the store did not serve, under the keys a local run uses:
+// the content-addressed store stays the merge point, and a duplicate
+// completion rewrites an entry with identical bytes. An exact chain
+// with any miss dispatches whole, since the remote re-derives every
+// boundary state anyway. Error contract (RemoteRunner): a canceled run
+// returns false and is discarded; any other error, or a result count
+// that does not match the item, panics like a failed local item.
+func (e *Engine) dispatch(ctx context.Context, it ItemSpec, out []Result, hit []bool) bool {
+	res, err := e.remote.RunItem(ctx, it)
+	if err != nil && ctx.Err() != nil {
+		return false
+	}
+	if err == nil && len(res) != len(out) {
+		err = fmt.Errorf("got %d results, want %d", len(res), len(out))
+	}
+	if err != nil {
+		panic(fmt.Errorf("sim: remote item %s/%s shard %d/%d: %w", it.Config, it.Bench, it.Shard, it.Shards, err))
+	}
+	for i, r := range res {
+		if !hit[i] {
+			out[i] = r
+			if e.store != nil {
+				_ = e.store.Save(it.key(it.Shard+i), r)
+			}
+		}
+	}
+	return true
+}
+
+// simulateChain simulates the uncached shards of an exact chain as a
+// chained partition of the contiguous stream. Shard i starts from the
+// exact predictor state at its boundary, restored from a cached
+// snapshot or rebuilt by replaying the stream from the nearest earlier
+// one, so the merged results are bit-identical to the unsharded run.
+// Each shard's result and each boundary state are stored individually.
+// A canceled ctx stops the chain at the next shard boundary and
+// returns false; completed shards are already stored.
+func (e *Engine) simulateChain(ctx context.Context, builder func() predictor.Predictor, b workload.Benchmark, it ItemSpec, out []Result, hit []bool) bool {
+	var p predictor.Predictor
+	pos := 0
+	for i := range out {
+		if hit[i] {
+			// The live chain state is now behind this shard's end; a
+			// later uncached shard restores or replays instead.
+			p = nil
+			continue
+		}
+		if ctx.Err() != nil {
+			return false
+		}
+		start, _, _ := it.Window(i)
+		if p == nil || pos > start {
+			p, _, pos = e.restore(builder, it, start)
+		}
+		// Replaying [pos, start) as training feeds the exact records of
+		// the contiguous run, not an approximation.
+		out[i], pos = e.simulate(p, b, it, i, pos, start, Result{})
+		if e.store != nil && pos > 0 {
+			// The boundary state seeds shard i+1 on a later run, and —
+			// because the chain measures every record from 0 — its merged
+			// counters double as the budget-sweep resume payload.
+			e.saveSnapshot(p, it.snapKey(pos), MergeShards(out[:i+1]))
+		}
+	}
+	return true
+}
+
+// simulate feeds p the records [skip, end) of shard's window — training
+// unmeasured before start — adds partial, the counters a restored
+// snapshot already measured, then counts the work and stores the
+// result. It returns the result and the stream position p ended at.
+func (e *Engine) simulate(p predictor.Predictor, b workload.Benchmark, it ItemSpec, shard, skip, start int, partial Result) (Result, int) {
+	_, end, unbounded := it.Window(shard)
+	if unbounded {
+		end = noLimit
+	}
+	res, finalPos, fed := e.feedWindow(p, b, it.Budget, skip, start, end)
 	res.Instructions += partial.Instructions
 	res.Records += partial.Records
 	res.Conditionals += partial.Conditionals
@@ -501,231 +556,52 @@ func (e *Engine) runShardGeom(builder func() predictor.Predictor, config, suite 
 	if e.store != nil {
 		// Best-effort: a full disk or read-only cache directory must
 		// not fail the simulation; the run simply stays uncached.
-		_ = e.store.Save(key, res)
+		_ = e.store.Save(it.key(shard), res)
 	}
-	if canSnapshot && finalPos > 0 {
-		e.saveSnapshot(p, config, suite, b, finalPos, res)
-	}
-	return res, false
+	return res, finalPos
 }
 
-// exactKey is the store key of shard i of an exact n-way chain.
-func exactKey(config, suite string, b workload.Benchmark, budget, i, n int) Key {
-	return Key{
-		Engine: EngineVersion, Config: config, Suite: suite, Trace: b.Name,
-		Budget: budget, Seed: b.Seed, Shard: i, Shards: n, Exact: true,
-	}
-}
-
-// runBenchExact runs one benchmark's exact shard chain with the
-// engine's geometry, remotely when a RemoteRunner is configured and
-// the item is rebuildable by name. An exact chain dispatches as one
-// work item covering all shards: shard i needs the predictor state at
-// shard i-1's boundary, so only the whole chain is
-// location-independent (ItemSpec.Exact).
-func (e *Engine) runBenchExact(ctx context.Context, builder func() predictor.Predictor, config, suite string, b workload.Benchmark, budget int, emit func(trace string, shard int, hit bool)) ([]Result, int) {
-	if e.remote != nil && remoteEligible(config, b.Name) {
-		return e.runBenchExactRemote(ctx, config, suite, b, budget, emit)
-	}
-	return e.runBenchExactGeom(ctx, builder, config, suite, b, budget, e.shards, emit)
-}
-
-// runBenchExactRemote serves an exact chain through the RemoteRunner.
-// Shards already in the store stay cache hits; a chain with any miss
-// dispatches whole (the remote re-derives every boundary state anyway)
-// and only the missing shards' results are taken from the response and
-// stored. See RemoteRunner for the error contract.
-func (e *Engine) runBenchExactRemote(ctx context.Context, config, suite string, b workload.Benchmark, budget int, emit func(trace string, shard int, hit bool)) ([]Result, int) {
-	n := e.shards
-	results := make([]Result, n)
-	hit := make([]bool, n)
-	cached := 0
+// restore returns a predictor holding the exact stream state at the
+// largest snapshotted position ≤ limit, the counters measured before
+// that position, and the position. It returns a fresh predictor at
+// position 0 when no usable snapshot is cached or the predictor is not
+// a Snapshotter.
+func (e *Engine) restore(builder func() predictor.Predictor, it ItemSpec, limit int) (predictor.Predictor, Result, int) {
 	if e.store != nil {
-		for i := 0; i < n; i++ {
-			if res, ok := e.store.Load(exactKey(config, suite, b, budget, i, n)); ok {
-				e.hits.Add(1)
-				results[i], hit[i] = res, true
-				cached++
-			}
-		}
-	}
-	if cached < n {
-		item := ItemSpec{
-			Config: config, Suite: suite, Bench: b.Name, Seed: b.Seed,
-			Budget: budget, Shards: n, Exact: true,
-		}
-		res, err := e.remote.RunItem(ctx, item)
-		if err != nil {
-			if ctx.Err() != nil {
-				return results, cached
-			}
-			panic(fmt.Errorf("sim: remote exact chain %s/%s: %w", config, b.Name, err))
-		}
-		if len(res) != n {
-			panic(fmt.Errorf("sim: remote exact chain %s/%s: got %d results, want %d", config, b.Name, len(res), n))
-		}
-		for i := 0; i < n; i++ {
-			if hit[i] {
-				continue
-			}
-			results[i] = res[i]
-			if e.store != nil {
-				_ = e.store.Save(exactKey(config, suite, b, budget, i, n), res[i])
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		emit(b.Name, i, hit[i])
-	}
-	return results, cached
-}
-
-// runBenchExactGeom simulates every shard of one benchmark as a
-// chained partition of the contiguous stream, with an explicit shard
-// count (the engine's for local runs, the item's when a worker
-// executes a leased exact chain): shard i starts from the exact
-// predictor state at its segment boundary — restored from a cached
-// snapshot, or rebuilt by replaying the stream from the nearest
-// earlier one — so the merged results are bit-identical to the
-// unsharded run. Each shard's result and each boundary state are
-// persisted individually. A canceled ctx stops the chain at the next
-// shard boundary (completed shards are already stored). Returns
-// per-shard results and how many were served from the store.
-func (e *Engine) runBenchExactGeom(ctx context.Context, builder func() predictor.Predictor, config, suite string, b workload.Benchmark, budget, shards int, emit func(trace string, shard int, hit bool)) ([]Result, int) {
-	n := shards
-	results := make([]Result, n)
-	cached := 0
-	var p predictor.Predictor
-	pos := 0
-	for i := 0; i < n; i++ {
-		if ctx.Err() != nil {
-			return results, cached
-		}
-		key := exactKey(config, suite, b, budget, i, n)
-		if e.store != nil {
-			if res, ok := e.store.Load(key); ok {
-				e.hits.Add(1)
-				results[i] = res
-				cached++
-				emit(b.Name, i, true)
-				// The live chain state is now behind this shard's end;
-				// a later uncached shard restores or replays instead.
-				p = nil
-				continue
-			}
-		}
-		if err := faultinject.Err("sim/engine.item"); err != nil {
-			// Injected work-item failure; see runShard.
-			panic(err)
-		}
-		start := workload.ShardStart(budget, i, n)
-		end := start + workload.ShardBudget(budget, i, n)
-		if i == n-1 {
-			// The final shard absorbs the generator's episode-granular
-			// overshoot, exactly like an unsharded run's tail.
-			end = noLimit
-		}
-		if p == nil || pos > start {
-			p, pos = e.restoreAtOrBefore(builder, config, suite, b, start)
-		}
-		// feedWindow replays [pos, start) as training — the exact
-		// records of the contiguous run, not an approximation — then
-		// measures [start, end).
-		res, finalPos, fed := e.feedWindow(p, b, budget, pos, start, end)
-		results[i] = res
-		pos = finalPos
-		e.simulated.Add(1)
-		e.records.Add(uint64(fed))
-		if e.store != nil {
-			_ = e.store.Save(key, res)
-			if finalPos > 0 {
-				// Persist the boundary state: it seeds shard i+1 on a
-				// later run, and — because the exact chain measures
-				// every record from 0 — the merged counters double as
-				// the budget-sweep resume payload.
-				e.saveSnapshot(p, config, suite, b, finalPos, MergeShards(results[:i+1]))
-			}
-		}
-		emit(b.Name, i, false)
-	}
-	return results, cached
-}
-
-// tryResume restores the longest cached prefix snapshot usable for a
-// budget-`budget` run into a fresh predictor. Returns (nil, _, 0) when
-// no snapshot applies (or the predictor is not a Snapshotter).
-func (e *Engine) tryResume(builder func() predictor.Predictor, config, suite string, b workload.Benchmark, budget int) (predictor.Predictor, Result, int) {
-	group := SnapKey{Engine: EngineVersion, Config: config, Suite: suite, Trace: b.Name, Seed: b.Seed}
-	for _, pos := range e.store.SnapshotPositions(group) {
-		// A snapshot past this run's budget would overshoot the
-		// measurement window (a shorter-budget run cannot un-simulate);
-		// positions are sorted descending, so keep scanning.
-		if pos > budget || pos <= 0 {
-			continue
-		}
-		k := group
-		k.Pos = pos
-		payload, ok := e.store.LoadSnapshot(k)
-		if !ok {
-			continue
-		}
-		p := builder()
-		sp, ok := p.(snap.Snapshotter)
-		if !ok {
-			return nil, Result{}, 0
-		}
-		partial, err := decodeSimState(payload, sp)
-		if err != nil {
-			// Corrupt or structurally mismatched snapshot: treat as a
-			// miss and try the next shorter prefix.
-			continue
-		}
-		e.resumed.Add(1)
-		return p, partial, pos
-	}
-	return nil, Result{}, 0
-}
-
-// restoreAtOrBefore returns a predictor holding the exact stream state
-// at the largest snapshotted position ≤ limit, or a fresh predictor at
-// position 0 when none is cached.
-func (e *Engine) restoreAtOrBefore(builder func() predictor.Predictor, config, suite string, b workload.Benchmark, limit int) (predictor.Predictor, int) {
-	if e.store != nil {
-		group := SnapKey{Engine: EngineVersion, Config: config, Suite: suite, Trace: b.Name, Seed: b.Seed}
-		for _, pos := range e.store.SnapshotPositions(group) {
+		for _, pos := range e.store.SnapshotPositions(it.snapKey(0)) {
+			// A snapshot past limit would overshoot the window (a run
+			// cannot un-simulate); positions come sorted descending, so
+			// keep scanning.
 			if pos > limit || pos <= 0 {
 				continue
 			}
-			k := group
-			k.Pos = pos
-			payload, ok := e.store.LoadSnapshot(k)
+			payload, ok := e.store.LoadSnapshot(it.snapKey(pos))
 			if !ok {
 				continue
 			}
 			p := builder()
 			sp, ok := p.(snap.Snapshotter)
 			if !ok {
-				break
+				return p, Result{}, 0
 			}
-			if _, err := decodeSimState(payload, sp); err != nil {
+			partial, err := decodeSimState(payload, sp)
+			if err != nil {
+				// Corrupt or structurally mismatched snapshot: treat as a
+				// miss and try the next shorter prefix.
 				continue
 			}
 			e.resumed.Add(1)
-			return p, pos
+			return p, partial, pos
 		}
 	}
-	return builder(), 0
+	return builder(), Result{}, 0
 }
 
-// saveSnapshot persists the predictor's state at stream position pos
-// together with the counters measured over [0, pos), best-effort.
-func (e *Engine) saveSnapshot(p predictor.Predictor, config, suite string, b workload.Benchmark, pos int, partial Result) {
+// saveSnapshot persists the predictor's state at the key's stream
+// position together with the counters measured before it, best-effort.
+func (e *Engine) saveSnapshot(p predictor.Predictor, k SnapKey, partial Result) {
 	sp, ok := p.(snap.Snapshotter)
-	if !ok {
-		return
-	}
-	k := SnapKey{Engine: EngineVersion, Config: config, Suite: suite, Trace: b.Name, Seed: b.Seed, Pos: pos}
-	if e.store.HasSnapshot(k) {
+	if !ok || e.store.HasSnapshot(k) {
 		return
 	}
 	_ = e.store.SaveSnapshot(k, encodeSimState(partial, sp))

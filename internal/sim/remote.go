@@ -10,8 +10,9 @@ import (
 
 // ItemSpec is the serializable identity of one engine work item — the
 // unit a coordinator dispatches to remote workers (internal/dist,
-// DESIGN.md §14). It carries exactly the inputs runShard keys the
-// result store with: a registry configuration name, the workload
+// DESIGN.md §14) and the engine's own unit of work. It carries exactly
+// the inputs that address an item's results in the store (key): a
+// registry configuration name, the workload
 // identity (suite, benchmark name, generator seed), the branch budget,
 // and the shard geometry. Everything is a value, so any process that
 // shares this repository's registries can reconstruct the identical
@@ -45,6 +46,38 @@ type ItemSpec struct {
 	Warmup int `json:"warmup"`
 	// Exact selects boundary-snapshot chaining (ExactShards).
 	Exact bool `json:"exact,omitempty"`
+}
+
+// chain reports whether the item is an exact chain. A one-shard Exact
+// item is the plain unsharded run.
+func (it ItemSpec) chain() bool { return it.Exact && it.Shards > 1 }
+
+// key returns the store key of the result for the item's shard: the
+// one place an item's inputs become a result address.
+func (it ItemSpec) key(shard int) Key {
+	return Key{
+		Engine: EngineVersion, Config: it.Config, Suite: it.Suite, Trace: it.Bench,
+		Budget: it.Budget, Seed: it.Seed, Shard: shard, Shards: it.Shards, Warmup: it.Warmup,
+		Exact: it.chain(),
+	}
+}
+
+// snapKey returns the key of the item's predictor-state snapshot at
+// stream position pos.
+func (it ItemSpec) snapKey(pos int) SnapKey {
+	return SnapKey{Engine: EngineVersion, Config: it.Config, Suite: it.Suite, Trace: it.Bench, Seed: it.Seed, Pos: pos}
+}
+
+// Window returns the stream window [start, end) that the item's shard
+// measures. A bounded window measures exactly end-start records. The
+// unbounded one is the unsharded item or the last shard of an exact
+// chain: it keeps the generator's episode-granular overshoot, so it
+// measures at least end-start records. The engine simulates these
+// windows, and the coordinator checks completions against them.
+func (it ItemSpec) Window(shard int) (start, end int, unbounded bool) {
+	start = workload.ShardStart(it.Budget, shard, it.Shards)
+	end = start + workload.ShardBudget(it.Budget, shard, it.Shards)
+	return start, end, it.Shards == 1 || (it.chain() && shard == it.Shards-1)
 }
 
 // Validate checks that the item can be reconstructed from the local
@@ -105,13 +138,13 @@ func remoteEligible(config, bench string) bool {
 
 // RunItem executes one work item on this engine with the item's own
 // geometry (not the engine's): the worker side of the coordinator
-// seam. The engine's store, stream cache, snapshot resume, and worker
-// pool all apply, so a worker daemon with a warm cache serves items
-// incrementally like any local run. Panics inside the simulation
-// (including injected "sim/engine.item" faults) are converted to
-// errors: a worker must survive a poisoned item and report it, not
-// die. A canceled ctx returns ctx.Err() — never a partial exact
-// chain.
+// seam. It runs the same executor as a suite run, so the engine's
+// store, stream cache, snapshot resume and worker pool all apply, and
+// a worker daemon with a warm cache serves items incrementally. Panics
+// inside the simulation (including injected "sim/engine.item" faults)
+// are converted to errors: a worker must survive a poisoned item and
+// report it, not die. A canceled ctx returns ctx.Err(), never a
+// partial exact chain.
 func (e *Engine) RunItem(ctx context.Context, item ItemSpec) (results []Result, err error) {
 	if err := item.Validate(); err != nil {
 		return nil, err
@@ -121,9 +154,14 @@ func (e *Engine) RunItem(ctx context.Context, item ItemSpec) (results []Result, 
 		return nil, err
 	}
 	b.Seed = item.Seed
-	suite := item.Suite
-	if suite == "" {
-		suite = b.Suite
+	if item.Suite == "" {
+		item.Suite = b.Suite
+	}
+	results = make([]Result, 1)
+	if item.chain() {
+		// A chain covers every shard and ignores the shard index.
+		item.Shard = 0
+		results = make([]Result, item.Shards)
 	}
 	builder := func() predictor.Predictor { return predictor.MustNew(item.Config) }
 	defer func() {
@@ -140,42 +178,9 @@ func (e *Engine) RunItem(ctx context.Context, item ItemSpec) (results []Result, 
 		return nil, ctx.Err()
 	}
 	defer func() { <-e.sem }()
-	if item.Exact && item.Shards > 1 {
-		res, _ := e.runBenchExactGeom(ctx, builder, item.Config, suite, b, item.Budget, item.Shards,
-			func(string, int, bool) {})
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return res, nil
-	}
-	res, _ := e.runShardGeom(builder, item.Config, suite, b, item.Budget, item.Shard, item.Shards, item.Warmup)
+	e.run(ctx, builder, b, item, results)
 	if ctx.Err() != nil {
 		return nil, ctx.Err()
 	}
-	return []Result{res}, nil
-}
-
-// runItemRemote dispatches one plain work item to the engine's
-// RemoteRunner and stores the returned result under the same key a
-// local run would use — the content-addressed store stays the merge
-// point, and a duplicate completion of the same item overwrites the
-// entry with identical bytes. See RemoteRunner for the error
-// contract.
-func (e *Engine) runItemRemote(ctx context.Context, key Key, item ItemSpec) Result {
-	res, err := e.remote.RunItem(ctx, item)
-	if err != nil {
-		if ctx.Err() != nil {
-			// Canceled run: the caller is about to discard everything.
-			return Result{}
-		}
-		panic(fmt.Errorf("sim: remote item %s/%s shard %d: %w", item.Config, item.Bench, item.Shard, err))
-	}
-	if len(res) != 1 {
-		panic(fmt.Errorf("sim: remote item %s/%s shard %d: got %d results, want 1",
-			item.Config, item.Bench, item.Shard, len(res)))
-	}
-	if e.store != nil {
-		_ = e.store.Save(key, res[0])
-	}
-	return res[0]
+	return results, nil
 }

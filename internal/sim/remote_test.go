@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -59,7 +60,9 @@ func TestItemSpecValidateAllocFree(t *testing.T) {
 
 // TestRunItemMatchesLocalShard: executing a leased item must yield the
 // byte-exact result of the equivalent local work item, using the
-// item's geometry rather than the executing engine's.
+// item's geometry rather than the executing engine's. The reference is
+// a local suite run with the item's geometry, read back from its store
+// under the shard's key.
 func TestRunItemMatchesLocalShard(t *testing.T) {
 	b := workload.CBP4()[0]
 	// The worker's own configuration is deliberately different from the
@@ -74,7 +77,14 @@ func TestRunItemMatchesLocalShard(t *testing.T) {
 	if len(res) != 1 {
 		t.Fatalf("plain item returned %d results, want 1", len(res))
 	}
-	ref, _ := NewEngine(EngineConfig{}).runShardGeom(builderFor("gshare"), "gshare", "cbp4", b, 9000, 1, 3, 500)
+	st := OpenStore(t.TempDir())
+	NewEngine(EngineConfig{Shards: 3, Warmup: 500, Store: st}).
+		RunSuite(builderFor("gshare"), "gshare", "cbp4", []workload.Benchmark{b}, 9000)
+	ref, ok := st.Load(Key{Engine: EngineVersion, Config: "gshare", Suite: "cbp4", Trace: b.Name,
+		Budget: 9000, Seed: b.Seed, Shard: 1, Shards: 3, Warmup: 500})
+	if !ok {
+		t.Fatal("local run stored no result for shard 1")
+	}
 	if res[0] != ref {
 		t.Errorf("RunItem %+v != local shard %+v", res[0], ref)
 	}
@@ -92,11 +102,17 @@ func TestRunItemExactChainMatchesLocal(t *testing.T) {
 	if len(res) != 3 {
 		t.Fatalf("exact chain returned %d results, want 3", len(res))
 	}
-	ref, _ := NewEngine(EngineConfig{}).runBenchExactGeom(context.Background(),
-		builderFor("bimodal"), "bimodal", "cbp4", b, 9000, 3, func(string, int, bool) {})
-	for i := range ref {
-		if res[i] != ref[i] {
-			t.Errorf("shard %d: RunItem %+v != local %+v", i, res[i], ref[i])
+	st := OpenStore(t.TempDir())
+	NewEngine(EngineConfig{Shards: 3, ExactShards: true, Store: st}).
+		RunSuite(builderFor("bimodal"), "bimodal", "cbp4", []workload.Benchmark{b}, 9000)
+	for i := range res {
+		ref, ok := st.Load(Key{Engine: EngineVersion, Config: "bimodal", Suite: "cbp4", Trace: b.Name,
+			Budget: 9000, Seed: b.Seed, Shard: i, Shards: 3, Exact: true})
+		if !ok {
+			t.Fatalf("local chain stored no result for shard %d", i)
+		}
+		if res[i] != ref {
+			t.Errorf("shard %d: RunItem %+v != local %+v", i, res[i], ref)
 		}
 	}
 }
@@ -122,15 +138,20 @@ func TestRunItemRejectsInvalidAndSurvivesSeed(t *testing.T) {
 	}
 }
 
-// recordingRemote proxies to a backing engine and counts dispatches —
+// recordingRemote proxies to a backing engine and records dispatches —
 // enough to observe which items the coordinator side sends remotely.
 type recordingRemote struct {
 	backend *Engine
 	calls   atomic.Int64
+	mu      sync.Mutex
+	items   []ItemSpec
 }
 
 func (r *recordingRemote) RunItem(ctx context.Context, item ItemSpec) ([]Result, error) {
 	r.calls.Add(1)
+	r.mu.Lock()
+	r.items = append(r.items, item)
+	r.mu.Unlock()
 	return r.backend.RunItem(ctx, item)
 }
 
@@ -156,5 +177,93 @@ func TestRemoteDispatchBitIdenticalAndEligibilityGated(t *testing.T) {
 	e.RunSuite(builderFor("gshare"), "not-in-registry", "cbp4", benches, 8000)
 	if after := remote.calls.Load(); after != before {
 		t.Errorf("custom config dispatched %d items remotely, want 0", after-before)
+	}
+}
+
+// TestRemoteExactChainPartlyCached: a chain with one shard already in
+// the coordinator's store dispatches whole, once per benchmark, but
+// only the missing shards are taken from the response and stored; the
+// cached shard keeps serving its stored entry.
+func TestRemoteExactChainPartlyCached(t *testing.T) {
+	benches := workload.CBP4()[:2]
+	const budget, n = 9000, 3
+	key := func(b workload.Benchmark, shard int) Key {
+		return Key{Engine: EngineVersion, Config: "bimodal", Suite: "cbp4", Trace: b.Name,
+			Budget: budget, Seed: b.Seed, Shard: shard, Shards: n, Exact: true}
+	}
+	ref := make([][]Result, len(benches))
+	for bi, b := range benches {
+		res, err := NewEngine(EngineConfig{}).RunItem(context.Background(), ItemSpec{
+			Config: "bimodal", Suite: "cbp4", Bench: b.Name, Seed: b.Seed, Budget: budget, Shards: n, Exact: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref[bi] = res
+	}
+
+	// Pre-store shard 1 of the first benchmark's chain as a marked
+	// entry: if the run overwrote it, or ignored it, the mark would be
+	// gone from the store or from the merged result.
+	st := OpenStore(t.TempDir())
+	marked := ref[0][1]
+	marked.Mispredicted++
+	if err := st.Save(key(benches[0], 1), marked); err != nil {
+		t.Fatal(err)
+	}
+	remote := &recordingRemote{backend: NewEngine(EngineConfig{})}
+	e := NewEngine(EngineConfig{Shards: n, ExactShards: true, Store: st, Remote: remote})
+	type shardID struct {
+		trace string
+		shard int
+	}
+	events := map[shardID]bool{}
+	run, err := e.RunSuiteContext(context.Background(), builderFor("bimodal"), "bimodal", "cbp4", benches, budget,
+		func(ev ItemEvent) { events[shardID{ev.Trace, ev.Shard}] = ev.Cached })
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if got := remote.calls.Load(); got != int64(len(benches)) {
+		t.Errorf("remote dispatches = %d, want one per benchmark (%d)", got, len(benches))
+	}
+	for _, it := range remote.items {
+		if !it.Exact || it.Shards != n {
+			t.Errorf("dispatched %+v, want a whole %d-shard exact chain", it, n)
+		}
+	}
+	if run.CachedShards != 1 || run.RanShards != len(benches)*n-1 {
+		t.Errorf("CachedShards/RanShards = %d/%d, want 1/%d", run.CachedShards, run.RanShards, len(benches)*n-1)
+	}
+	if len(events) != len(benches)*n {
+		t.Errorf("got %d distinct shard events, want %d", len(events), len(benches)*n)
+	}
+	for bi, b := range benches {
+		want := append([]Result(nil), ref[bi]...)
+		for i := 0; i < n; i++ {
+			cached, seen := events[shardID{b.Name, i}]
+			wantCached := bi == 0 && i == 1
+			if !seen || cached != wantCached {
+				t.Errorf("%s shard %d: event seen=%v cached=%v, want cached=%v", b.Name, i, seen, cached, wantCached)
+			}
+			if wantCached {
+				want[i] = marked
+			}
+			got, ok := st.Load(key(b, i))
+			if !ok || got != want[i] {
+				t.Errorf("%s shard %d: stored %+v (present %v), want %+v", b.Name, i, got, ok, want[i])
+			}
+		}
+		if run.Results[bi] != MergeShards(want) {
+			t.Errorf("%s: merged %+v, want %+v", b.Name, run.Results[bi], MergeShards(want))
+		}
+	}
+
+	// The whole chain is cached now: a re-run dispatches nothing.
+	before := remote.calls.Load()
+	if again := e.RunSuite(builderFor("bimodal"), "bimodal", "cbp4", benches, budget); again.RanShards != 0 {
+		t.Errorf("re-run simulated %d shards, want 0", again.RanShards)
+	}
+	if got := remote.calls.Load() - before; got != 0 {
+		t.Errorf("fully cached re-run dispatched %d items, want 0", got)
 	}
 }
