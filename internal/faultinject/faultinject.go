@@ -3,7 +3,7 @@
 // potential failure site with a registry key — faultinject.Err("...")
 // — and behaves normally when the site returns nil. Tests Enable a
 // Plan that makes chosen sites fail at chosen hit counts, so every
-// retry, quarantine, and replay path is exercised by injected faults
+// retry, drop-from-index, and replay path is exercised by injected faults
 // rather than hoped-for ones.
 //
 // The package is zero-overhead in production: with no plan enabled,

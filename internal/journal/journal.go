@@ -8,17 +8,14 @@
 // rest, so the replayed result is bit-identical to an uninterrupted
 // run.
 //
-// On-disk format: a magic header line, then length-prefixed frames
-//
-//	[u32 payload length][u32 CRC-32 (IEEE) of payload][payload]
-//
-// where each payload is an internal/snap encoding of one Entry
-// (sticky-error decoded, straight-line — the stickyerr analyzer
-// applies). A crash can tear the final frame; Open truncates the file
-// at the first frame that is short, fails its checksum, or fails to
-// decode, so one torn tail never poisons the journal. Appends fsync
-// before returning: once Append returns nil, the entry survives a
-// crash.
+// On-disk format: a magic header line, then internal/frame frames
+// (length, CRC-32, payload) where each payload is an internal/snap
+// encoding of one Entry (sticky-error decoded, straight-line — the
+// stickyerr analyzer applies). A crash can tear the final frame; Open
+// truncates the file at the first frame that is short, fails its
+// checksum, or fails to decode, so one torn tail never poisons the
+// journal. Appends fsync before returning: once Append returns nil,
+// the entry survives a crash.
 //
 // The journal grows with every transition, so holders compact it:
 // Rewrite atomically replaces the file with a fresh journal holding
@@ -26,14 +23,13 @@
 package journal
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
 
 	"repro/client"
+	"repro/internal/frame"
 	"repro/internal/snap"
 )
 
@@ -170,52 +166,45 @@ func Open(path string) (*Journal, error) {
 // and truncates the file after the last good frame. Callers hold no
 // lock (Open is single-threaded).
 func (j *Journal) replay() ([]Entry, error) {
-	data, err := os.ReadFile(j.path)
+	info, err := j.f.Stat()
 	if err != nil {
 		return nil, err
 	}
-	if len(data) == 0 {
+	size := info.Size()
+	if size == 0 {
 		// Fresh journal: stamp the header durably before any frame.
 		if _, err := j.f.Write([]byte(header)); err != nil {
 			return nil, err
 		}
 		return nil, j.f.Sync()
 	}
-	if len(data) < len(header) || string(data[:len(header)]) != header {
+	hdr := make([]byte, len(header))
+	if _, err := j.f.ReadAt(hdr, 0); err != nil || string(hdr) != header {
 		return nil, fmt.Errorf("journal: %s is not a job journal (bad header)", j.path)
 	}
 	var entries []Entry
-	off := len(header)
-	good := off
-	for len(data)-off >= 8 {
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if n > maxFrame || n > len(data)-off-8 {
-			break // torn or corrupt tail
-		}
-		payload := data[off+8 : off+8+n]
-		if crc32.ChecksumIEEE(payload) != sum {
-			break
-		}
+	good, err := frame.Scan(j.f, int64(len(header)), size, maxFrame, func(_ int64, payload []byte) bool {
 		e, err := decodeEntry(snap.NewDecoder(payload))
 		if err != nil {
-			break
+			return false
 		}
 		entries = append(entries, e)
-		off += 8 + n
-		good = off
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
-	if good < len(data) {
+	if good < size {
 		// Torn tail (a crash mid-append) or trailing corruption: cut it
 		// off so the next append starts at a frame boundary.
-		if err := j.f.Truncate(int64(good)); err != nil {
+		if err := j.f.Truncate(good); err != nil {
 			return nil, err
 		}
 		if err := j.f.Sync(); err != nil {
 			return nil, err
 		}
 	}
-	if _, err := j.f.Seek(int64(good), 0); err != nil {
+	if _, err := j.f.Seek(good, 0); err != nil {
 		return nil, err
 	}
 	return entries, nil
@@ -257,15 +246,6 @@ func (j *Journal) Pending() []Entry {
 // Path returns the journal's file path.
 func (j *Journal) Path() string { return j.path }
 
-// frame wraps an encoded entry payload in the on-disk frame.
-func frame(payload []byte) []byte {
-	out := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(out, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:], crc32.ChecksumIEEE(payload))
-	copy(out[8:], payload)
-	return out
-}
-
 // Append durably records one entry: the frame is written and fsynced
 // before Append returns nil. An error leaves the journal usable (a
 // torn write is truncated by the next Open).
@@ -275,7 +255,7 @@ func (j *Journal) Append(e Entry) error {
 	if j.f == nil {
 		return fmt.Errorf("journal: %s is closed", j.path)
 	}
-	if _, err := j.f.Write(frame(encodeEntry(e))); err != nil {
+	if _, err := j.f.Write(frame.Append(nil, encodeEntry(e))); err != nil {
 		return err
 	}
 	return j.f.Sync()
@@ -302,7 +282,7 @@ func (j *Journal) Rewrite(entries []Entry) error {
 		return err
 	}
 	for _, e := range entries {
-		if _, err := tmp.Write(frame(encodeEntry(e))); err != nil {
+		if _, err := tmp.Write(frame.Append(nil, encodeEntry(e))); err != nil {
 			cleanup()
 			return err
 		}

@@ -471,8 +471,8 @@ func (e *Engine) run(ctx context.Context, builder func() predictor.Predictor, b 
 
 // dispatch runs the item on the RemoteRunner and stores the results of
 // the shards the store did not serve, under the keys a local run uses:
-// the content-addressed store stays the merge point, and a duplicate
-// completion rewrites an entry with identical bytes. An exact chain
+// the store stays the merge point, and a duplicate completion appends
+// an entry with identical data, which loads the same. An exact chain
 // with any miss dispatches whole, since the remote re-derives every
 // boundary state anyway. Error contract (RemoteRunner): a canceled run
 // returns false and is discarded; any other error, or a result count
@@ -568,6 +568,8 @@ func (e *Engine) simulate(p predictor.Predictor, b workload.Benchmark, it ItemSp
 // a Snapshotter.
 func (e *Engine) restore(builder func() predictor.Predictor, it ItemSpec, limit int) (predictor.Predictor, Result, int) {
 	if e.store != nil {
+		buf := snapBufs.Get().(*[]byte)
+		defer snapBufs.Put(buf)
 		for _, pos := range e.store.SnapshotPositions(it.snapKey(0)) {
 			// A snapshot past limit would overshoot the window (a run
 			// cannot un-simulate); positions come sorted descending, so
@@ -575,7 +577,7 @@ func (e *Engine) restore(builder func() predictor.Predictor, it ItemSpec, limit 
 			if pos > limit || pos <= 0 {
 				continue
 			}
-			payload, ok := e.store.LoadSnapshot(it.snapKey(pos))
+			payload, ok := e.store.loadSnapshot(it.snapKey(pos), buf)
 			if !ok {
 				continue
 			}
@@ -604,13 +606,25 @@ func (e *Engine) saveSnapshot(p predictor.Predictor, k SnapKey, partial Result) 
 	if !ok || e.store.HasSnapshot(k) {
 		return
 	}
-	_ = e.store.SaveSnapshot(k, encodeSimState(partial, sp))
+	enc := snapEncoders.Get().(*snap.Encoder)
+	_ = e.store.SaveSnapshot(k, encodeSimState(enc, partial, sp))
+	snapEncoders.Put(enc)
 }
 
-// encodeSimState serializes a snapshot payload: the partial result
-// counters over the simulated prefix, then the full predictor state.
-func encodeSimState(partial Result, p snap.Snapshotter) []byte {
-	enc := snap.NewEncoder()
+// snapEncoders and snapBufs pool the snapshot encoders and the frame
+// buffers snapshots load into, so a resumed item does not grow a fresh
+// ~40 KB buffer for each. The decoder copies everything it restores,
+// so a buffer is free again once decoding returns.
+var (
+	snapEncoders = sync.Pool{New: func() any { return snap.NewEncoder() }}
+	snapBufs     = sync.Pool{New: func() any { return new([]byte) }}
+)
+
+// encodeSimState serializes a snapshot payload into enc, from empty:
+// the partial result counters over the simulated prefix, then the full
+// predictor state.
+func encodeSimState(enc *snap.Encoder, partial Result, p snap.Snapshotter) []byte {
+	enc.Reset()
 	enc.Begin("simstate", 1)
 	enc.U64(partial.Instructions)
 	enc.U64(partial.Records)

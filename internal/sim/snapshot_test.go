@@ -4,8 +4,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/predictor"
 	"repro/internal/snap"
 	"repro/internal/trace"
@@ -142,10 +144,8 @@ func TestStoreSnapshotRoundTrip(t *testing.T) {
 		t.Errorf("SnapshotPositions = %v, want [50080 25040] (descending, this config only)", pos)
 	}
 
-	// A corrupt file must read as a miss, not an error.
-	if err := os.WriteFile(s.snapPath(k), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// A corrupt frame must read as a miss, not an error.
+	flipByte(t, snapLoc(t, s, k), frame.HeaderSize+1)
 	if _, ok := s.LoadSnapshot(k); ok {
 		t.Error("corrupt snapshot served as a hit")
 	}
@@ -173,7 +173,7 @@ func TestStorePrune(t *testing.T) {
 	}
 	// Legacy flat fan-out from engine versions ≤ 2: a 2-hex directory
 	// holding <62-hex>.json entries.
-	legacyID := testKey().id()
+	legacyID := "3f" + strings.Repeat("0123456789abcdef", 4)[:62]
 	if err := os.MkdirAll(filepath.Join(dir, legacyID[:2]), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -229,5 +229,57 @@ func TestStorePrune(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "db", "users.sqlite")); err != nil {
 		t.Error("prune deleted an unrelated two-hex-named directory")
+	}
+}
+
+// TestStorePrunePreSegmentLayout: the current version's file-per-entry
+// layout from before segments — v<N>/<2-hex>/ result files and
+// v<N>/snap/ — is pruned, since no Store reads it; the current
+// segments and foreign content survive.
+func TestStorePrunePreSegmentLayout(t *testing.T) {
+	dir := t.TempDir()
+	s := OpenStore(dir)
+	cur := testKey()
+	if err := s.Save(cur, Result{Trace: "MM-4", Mispredicted: 1}); err != nil {
+		t.Fatal(err)
+	}
+	vdir := filepath.Join(dir, versionDir(EngineVersion))
+	id := strings.Repeat("0123456789abcdef", 4)
+	files := map[string]string{
+		filepath.Join(vdir, id[:2], id[2:]+".json"):                "{}",
+		filepath.Join(vdir, id[:2], id[2:]+".json.bad"):            "{not json",
+		filepath.Join(vdir, "snap", id, "25000.snap"):              "imlisnap1\n",
+		filepath.Join(vdir, "db", "users.sqlite"):                  "precious",
+		filepath.Join(vdir, "ab", "notes.txt"):                     "precious",
+		filepath.Join(vdir, "snap", id, "50000.snap.bad"):          "imlisnap1\n",
+		filepath.Join(vdir, "cd", strings.Repeat("e", 62)+".json"): "{}",
+	}
+	for p, content := range files {
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := s.Prune(EngineVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Files != 5 || st.Dirs != 3 {
+		t.Errorf("prune stats = %+v, want 5 files in 3 dirs", st)
+	}
+	for _, gone := range []string{filepath.Join(vdir, id[:2]), filepath.Join(vdir, "cd"), filepath.Join(vdir, "snap")} {
+		if _, err := os.Stat(gone); !os.IsNotExist(err) {
+			t.Errorf("%s survived the prune", gone)
+		}
+	}
+	for _, kept := range []string{filepath.Join(vdir, "db", "users.sqlite"), filepath.Join(vdir, "ab", "notes.txt")} {
+		if _, err := os.Stat(kept); err != nil {
+			t.Errorf("prune deleted foreign content %s", kept)
+		}
+	}
+	if _, ok := OpenStore(dir).Load(cur); !ok {
+		t.Error("current segment entry was pruned")
 	}
 }

@@ -1,8 +1,8 @@
 package sim
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io/fs"
@@ -11,8 +11,10 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/faultinject"
+	"repro/internal/frame"
 )
 
 // Key identifies one shard simulation in the on-disk result store.
@@ -51,243 +53,423 @@ type SnapKey struct {
 	Pos    int    `json:"pos"`
 }
 
-func hashJSON(v any) string {
-	s, err := json.Marshal(v)
-	if err != nil {
-		// Keys are structs of ints, strings and bools; Marshal cannot fail.
-		panic(fmt.Sprintf("sim: key encoding: %v", err))
-	}
-	sum := sha256.Sum256(s)
-	return hex.EncodeToString(sum[:])
-}
-
-// id returns the content address: a hex SHA-256 of the canonical key
-// encoding. The encoding is the key's JSON form — every string field
-// is quoted and escaped, so no two distinct keys share an encoding.
-// (A naive separator-joined encoding was ambiguous: config "a|b" with
-// suite "c" collided with config "a", suite "b|c", letting one entry
-// overwrite an unrelated one. EngineVersion 2 invalidated the old
-// addresses.)
-func (k Key) id() string { return hashJSON(k) }
-
-// Store is a content-addressed cache on disk holding two entry kinds:
-// immutable per-shard result JSON files and predictor-state snapshot
-// blobs. Entries live under a per-engine-version directory
-// (v<EngineVersion>/), so bumping the version orphans — and Prune can
-// delete — every stale entry. Concurrent readers and writers
-// (including separate processes sharing the directory) are safe:
-// writes go to a temp file and are renamed into place atomically.
+// Store is the on-disk cache of the engine, holding two entry kinds:
+// per-shard results and predictor-state snapshots. Entries live in
+// append-only segment files under a per-engine-version directory, so
+// bumping EngineVersion orphans — and Prune can delete — every stale
+// entry:
 //
-// Layout:
+//	<dir>/v<N>/seg/<unique>.seg   entries, one internal/frame frame each
+//	<dir>/streams/v<N>/           spilled streams (see workload)
 //
-//	<dir>/v<N>/<id[:2]>/<id[2:]>.json   shard results
-//	<dir>/v<N>/snap/<gid>/<pos>.snap    snapshots, grouped per
-//	                                    (config, suite, trace, seed)
-//	<dir>/streams/v<N>/                 spilled streams (see workload)
+// Each Store appends to one segment of its own, created on its first
+// save; a frame's payload is [kind][u32 key length][key JSON][data].
+// An in-memory index maps each Key and SnapKey to the frame that holds
+// it. On a miss the Store scans the segments of other writers (other
+// Stores or processes sharing the directory) from where it last
+// stopped, up to the first short or checksum-failing frame, so a torn
+// tail reads as a miss until its writer completes it. Every load
+// re-reads its frame and checks the checksum and the exact key bytes;
+// a frame that fails is dropped from the index, so the load is a miss,
+// the item is simulated again, and the fresh append supersedes the bad
+// frame. All methods are safe for concurrent use; the Store holds no
+// open file between calls and needs no Close.
 type Store struct {
 	dir string
+
+	// wmu serializes appends: it guards buf, the reused frame buffer,
+	// and own, this Store's segment per engine version.
+	wmu sync.Mutex
+	buf []byte
+	own map[int]*segment
+
+	// scanMu serializes rescans of other writers' segments.
+	scanMu sync.Mutex
+
+	// mu guards the index and the segment table.
+	mu      sync.Mutex
+	results map[Key]loc
+	snaps   map[SnapKey]map[int]loc // group (Pos 0) → position → frame
+	segs    map[string]*segment
 }
+
+// segment is one segment file and how far the Store has indexed it.
+type segment struct {
+	path string
+	end  int64 // offset past the last indexed frame
+	own  bool  // written by this Store, indexed as it appends
+}
+
+// loc addresses one frame: its segment, offset and size with header.
+type loc struct {
+	path string
+	off  int64
+	n    int
+}
+
+// Frame payload kinds.
+const (
+	kindResult = 'r'
+	kindSnap   = 's'
+)
+
+// maxEntry bounds a segment frame's payload. The largest registry
+// snapshot is under 70 KB; the bound leaves room for far larger
+// predictors while keeping a corrupt length field from forcing a huge
+// allocation.
+const maxEntry = 64 << 20
 
 // OpenStore returns a store rooted at dir. The directory is created
 // lazily on first save, so opening never fails; a missing or unwritable
 // directory degrades to cache misses.
-func OpenStore(dir string) *Store { return &Store{dir: dir} }
+func OpenStore(dir string) *Store {
+	return &Store{
+		dir:     dir,
+		own:     map[int]*segment{},
+		results: map[Key]loc{},
+		snaps:   map[SnapKey]map[int]loc{},
+		segs:    map[string]*segment{},
+	}
+}
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// entry is the on-disk format: the full key is stored alongside the
-// result so entries are self-describing and a load can verify it got
-// the result it asked for.
-type entry struct {
-	Key    Key    `json:"key"`
-	Result Result `json:"result"`
-}
-
 func versionDir(v int) string { return fmt.Sprintf("v%d", v) }
 
-func (s *Store) path(k Key) string {
-	id := k.id()
-	return filepath.Join(s.dir, versionDir(k.Engine), id[:2], id[2:]+".json")
+func (s *Store) segDir(version int) string {
+	return filepath.Join(s.dir, versionDir(version), "seg")
 }
 
-// Load returns the cached result for the key. A missing file (or an
+// encodeKey is the canonical key encoding, stored in every frame and
+// compared byte for byte on load. It is the key's JSON form: every
+// string field is quoted and escaped, so no two distinct keys share an
+// encoding. (A naive separator-joined encoding was ambiguous: config
+// "a|b" with suite "c" collided with config "a", suite "b|c".
+// EngineVersion 2 retired it.)
+func encodeKey(k any) []byte {
+	b, err := json.Marshal(k)
+	if err != nil {
+		// Keys are structs of ints, strings and bools; Marshal cannot fail.
+		panic(fmt.Sprintf("sim: key encoding: %v", err))
+	}
+	return b
+}
+
+// group is the key of a snapshot's (engine, config, suite, trace,
+// seed) group.
+func (k SnapKey) group() SnapKey {
+	k.Pos = 0
+	return k
+}
+
+// Load returns the cached result for the key. A missing entry (or an
 // injected "sim/store.load" fault) reads as a plain cache miss; an
-// entry that exists but cannot be trusted — unparsable JSON, or a key
-// mismatch — is quarantined so the next run rewrites it instead of
-// missing on the same poisoned file forever.
+// entry that cannot be trusted — a failed checksum, a key mismatch,
+// unparsable data — is dropped from the index and reads as a miss.
 func (s *Store) Load(k Key) (Result, bool) {
 	if faultinject.Err("sim/store.load") != nil {
 		return Result{}, false
 	}
-	path := s.path(k)
-	data, err := os.ReadFile(path)
-	if err != nil {
+	l, ok := s.lookup(k.Engine, func() (loc, bool) { l, ok := s.results[k]; return l, ok })
+	if !ok {
 		return Result{}, false
 	}
-	var e entry
-	if json.Unmarshal(data, &e) != nil || e.Key != k {
-		s.quarantine(path)
+	var buf []byte
+	data, ok := s.read(l, kindResult, encodeKey(k), &buf)
+	var r Result
+	if !ok || json.Unmarshal(data, &r) != nil {
+		s.mu.Lock()
+		if s.results[k] == l {
+			delete(s.results, k)
+		}
+		s.mu.Unlock()
 		return Result{}, false
 	}
-	return e.Result, true
+	return r, true
 }
 
-// Save persists the result under the key, atomically. The
-// "sim/store.save" fault point injects write failures; callers
-// already treat Save as best-effort.
+// Save appends the result under the key. The "sim/store.save" fault
+// point injects write failures; callers already treat Save as
+// best-effort.
 func (s *Store) Save(k Key, r Result) error {
 	if err := faultinject.Err("sim/store.save"); err != nil {
 		return err
 	}
-	data, err := json.Marshal(entry{Key: k, Result: r})
+	data, err := json.Marshal(r)
 	if err != nil {
 		return err
 	}
-	return s.writeAtomic(s.path(k), data)
+	return s.append(k.Engine, kindResult, encodeKey(k), data, func(l loc) { s.results[k] = l })
 }
 
-// quarantine moves an untrustworthy cache entry out of the address
-// space by renaming it to <path>.bad (falling back to deletion), so
-// the entry reads as a miss and the next simulation rewrites it. The
-// .bad suffix keeps the evidence on disk for inspection without it
-// ever being addressed again: result and snapshot lookups match exact
-// filenames, and SnapshotPositions skips non-.snap names.
-func (s *Store) quarantine(path string) {
-	if os.Rename(path, path+".bad") != nil {
-		_ = os.Remove(path)
-	}
-}
-
-// writeAtomic writes data to path via a temp file + rename, creating
-// parent directories as needed and never stranding the temp file.
-func (s *Store) writeAtomic(path string, data []byte) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		// Don't strand the temp file: a rename that fails (destination
-		// became a directory, cross-mount surprises, ...) would
-		// otherwise leave .tmp-* litter accumulating in the cache.
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
-}
-
-// snapGroupDir returns the directory holding every snapshot of one
-// (engine, config, suite, trace, seed) group; files inside are named
-// by stream position, so the available resume points are a directory
-// listing away.
-func (s *Store) snapGroupDir(k SnapKey) string {
-	g := k
-	g.Pos = 0
-	return filepath.Join(s.dir, versionDir(k.Engine), "snap", hashJSON(g))
-}
-
-func (s *Store) snapPath(k SnapKey) string {
-	return filepath.Join(s.snapGroupDir(k), strconv.Itoa(k.Pos)+".snap")
-}
-
-// snapMagic guards snapshot files; the key JSON after it makes entries
-// self-describing, like result entries.
-const snapMagic = "imlisnap1\n"
-
-// SaveSnapshot persists a snapshot payload under the key, atomically.
-// The payload is opaque to the store (the engine encodes partial
-// counters plus the predictor state through internal/snap).
+// SaveSnapshot appends a snapshot payload under the key. The payload
+// is opaque to the store (the engine encodes partial counters plus the
+// predictor state through internal/snap).
 func (s *Store) SaveSnapshot(k SnapKey, payload []byte) error {
 	if err := faultinject.Err("sim/store.savesnap"); err != nil {
 		return err
 	}
-	kj, err := json.Marshal(k)
-	if err != nil {
-		panic(fmt.Sprintf("sim: snapshot key encoding: %v", err))
-	}
-	data := make([]byte, 0, len(snapMagic)+4+len(kj)+len(payload))
-	data = append(data, snapMagic...)
-	data = append(data, byte(len(kj)), byte(len(kj)>>8), byte(len(kj)>>16), byte(len(kj)>>24))
-	data = append(data, kj...)
-	data = append(data, payload...)
-	return s.writeAtomic(s.snapPath(k), data)
+	return s.append(k.Engine, kindSnap, encodeKey(k), payload, func(l loc) { s.indexSnap(k, l) })
 }
 
 // LoadSnapshot returns the snapshot payload for the key. A missing
-// file (or an injected "sim/store.loadsnap" fault) reads as a cache
-// miss; a snapshot that exists but fails its framing (magic, length,
-// key) is quarantined like a corrupt result entry, so resume stops
-// retrying a poisoned position and a later run rewrites it.
+// entry (or an injected "sim/store.loadsnap" fault) reads as a cache
+// miss; a snapshot whose frame fails its checks is dropped from the
+// index like a bad result, so resume stops retrying a poisoned
+// position and a later run rewrites it.
 func (s *Store) LoadSnapshot(k SnapKey) ([]byte, bool) {
+	var buf []byte
+	return s.loadSnapshot(k, &buf)
+}
+
+// loadSnapshot is LoadSnapshot reading into *buf, which it grows as
+// needed; the payload aliases *buf.
+func (s *Store) loadSnapshot(k SnapKey, buf *[]byte) ([]byte, bool) {
 	if faultinject.Err("sim/store.loadsnap") != nil {
 		return nil, false
 	}
-	path := s.snapPath(k)
-	data, err := os.ReadFile(path)
-	if err != nil {
+	g := k.group()
+	l, ok := s.lookup(k.Engine, func() (loc, bool) { l, ok := s.snaps[g][k.Pos]; return l, ok })
+	if !ok {
 		return nil, false
 	}
-	if len(data) < len(snapMagic)+4 || string(data[:len(snapMagic)]) != snapMagic {
-		s.quarantine(path)
+	data, ok := s.read(l, kindSnap, encodeKey(k), buf)
+	if !ok {
+		s.mu.Lock()
+		if s.snaps[g][k.Pos] == l {
+			delete(s.snaps[g], k.Pos)
+		}
+		s.mu.Unlock()
 		return nil, false
 	}
-	data = data[len(snapMagic):]
-	n := int(data[0]) | int(data[1])<<8 | int(data[2])<<16 | int(data[3])<<24
-	data = data[4:]
-	if n < 0 || n > len(data) {
-		s.quarantine(path)
-		return nil, false
-	}
-	var got SnapKey
-	if json.Unmarshal(data[:n], &got) != nil || got != k {
-		s.quarantine(path)
-		return nil, false
-	}
-	return data[n:], true
+	return data, true
 }
 
-// HasSnapshot reports whether a snapshot file exists for the key
-// (without reading it; used to keep repeated saves idempotent).
+// HasSnapshot reports whether the index holds a snapshot for the key
+// (used to keep repeated saves idempotent).
 func (s *Store) HasSnapshot(k SnapKey) bool {
-	_, err := os.Stat(s.snapPath(k))
-	return err == nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.snaps[k.group()][k.Pos]
+	return ok
 }
 
 // SnapshotPositions lists the stream positions with a stored snapshot
 // for the key's (engine, config, suite, trace, seed) group, sorted
 // descending — resume wants the longest usable prefix first. The
-// key's own Pos field is ignored.
+// key's own Pos field is ignored. An empty group is a miss and
+// rescans other writers' segments first.
 func (s *Store) SnapshotPositions(k SnapKey) []int {
-	ents, err := os.ReadDir(s.snapGroupDir(k))
+	positions := func() []int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		var out []int
+		for pos := range s.snaps[k.group()] {
+			out = append(out, pos)
+		}
+		sort.Sort(sort.Reverse(sort.IntSlice(out)))
+		return out
+	}
+	if out := positions(); len(out) > 0 {
+		return out
+	}
+	s.rescan(k.Engine)
+	return positions()
+}
+
+// indexSnap indexes a snapshot frame. Callers hold mu.
+func (s *Store) indexSnap(k SnapKey, l loc) {
+	g := k.group()
+	if s.snaps[g] == nil {
+		s.snaps[g] = map[int]loc{}
+	}
+	s.snaps[g][k.Pos] = l
+}
+
+// lookup runs find under the index lock; on a miss it rescans the
+// version's segments of other writers and runs find again.
+func (s *Store) lookup(version int, find func() (loc, bool)) (loc, bool) {
+	s.mu.Lock()
+	l, ok := find()
+	s.mu.Unlock()
+	if ok {
+		return l, true
+	}
+	s.rescan(version)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return find()
+}
+
+// read re-reads the frame at l into *buf and returns its data if the
+// frame is intact and holds the given kind and exact key bytes.
+func (s *Store) read(l loc, kind byte, key []byte, buf *[]byte) ([]byte, bool) {
+	f, err := os.Open(l.path)
 	if err != nil {
-		return nil
+		return nil, false
 	}
-	var out []int
+	defer f.Close()
+	if cap(*buf) < l.n {
+		*buf = make([]byte, l.n)
+	}
+	b := (*buf)[:l.n]
+	if _, err := f.ReadAt(b, l.off); err != nil {
+		return nil, false
+	}
+	payload, ok := frame.Parse(b)
+	if !ok {
+		return nil, false
+	}
+	gotKind, gotKey, data, ok := splitEntry(payload)
+	if !ok || gotKind != kind || !bytes.Equal(gotKey, key) {
+		return nil, false
+	}
+	return data, true
+}
+
+// splitEntry splits a frame payload into kind, key JSON and data.
+func splitEntry(p []byte) (kind byte, key, data []byte, ok bool) {
+	if len(p) < 5 {
+		return 0, nil, nil, false
+	}
+	n := binary.LittleEndian.Uint32(p[1:])
+	if int64(n) > int64(len(p)-5) {
+		return 0, nil, nil, false
+	}
+	return p[0], p[5 : 5+n], p[5+n:], true
+}
+
+// append writes one entry frame to this Store's segment of the
+// version in a single write, then indexes it with index (called under
+// the index lock). A failed write abandons the segment, whose tail may
+// now be torn; the next save starts a fresh one.
+func (s *Store) append(version int, kind byte, key, data []byte, index func(loc)) error {
+	if n := 5 + len(key) + len(data); n > maxEntry {
+		return fmt.Errorf("sim: store entry of %d bytes exceeds the %d-byte bound", n, maxEntry)
+	}
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	seg := s.own[version]
+	if seg == nil {
+		var err error
+		if seg, err = s.newSegment(version); err != nil {
+			return err
+		}
+	}
+	buf := frame.Begin(s.buf[:0])
+	buf = append(buf, kind)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
+	buf = append(buf, key...)
+	buf = append(buf, data...)
+	frame.End(buf, 0)
+	s.buf = buf
+	f, err := os.OpenFile(seg.path, os.O_WRONLY|os.O_APPEND, 0)
+	if err == nil {
+		_, err = f.Write(buf)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		delete(s.own, version)
+		s.mu.Lock()
+		seg.own = false
+		s.mu.Unlock()
+		return err
+	}
+	l := loc{path: seg.path, off: seg.end, n: len(buf)}
+	s.mu.Lock()
+	seg.end += int64(len(buf))
+	index(l)
+	s.mu.Unlock()
+	return nil
+}
+
+// newSegment creates this Store's segment of the version. Callers
+// hold wmu.
+func (s *Store) newSegment(version int) (*segment, error) {
+	dir := s.segDir(version)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	f, err := os.CreateTemp(dir, "*.seg")
+	if err != nil {
+		return nil, err
+	}
+	if err := f.Close(); err != nil {
+		return nil, err
+	}
+	seg := &segment{path: f.Name(), own: true}
+	s.own[version] = seg
+	s.mu.Lock()
+	s.segs[seg.path] = seg
+	s.mu.Unlock()
+	return seg, nil
+}
+
+// rescan indexes the frames other writers appended to the version's
+// segments since the last scan.
+func (s *Store) rescan(version int) {
+	s.scanMu.Lock()
+	defer s.scanMu.Unlock()
+	dir := s.segDir(version)
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
 	for _, e := range ents {
-		name, ok := strings.CutSuffix(e.Name(), ".snap")
-		if !ok {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".seg") {
 			continue
 		}
-		pos, err := strconv.Atoi(name)
-		if err != nil || pos < 0 {
+		path := filepath.Join(dir, e.Name())
+		s.mu.Lock()
+		seg := s.segs[path]
+		s.mu.Unlock()
+		if seg == nil {
+			seg = &segment{path: path}
+		} else if seg.own {
 			continue
 		}
-		out = append(out, pos)
+		s.scan(seg)
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
+}
+
+// scan indexes the intact frames of a segment from seg.end up to its
+// first torn or corrupt frame. A frame that is intact but not a
+// well-formed entry (unknown kind, unparsable key) is skipped. Callers
+// hold scanMu.
+func (s *Store) scan(seg *segment) {
+	f, err := os.Open(seg.path)
+	if err != nil {
+		return
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil || info.Size() <= seg.end {
+		return
+	}
+	end, _ := frame.Scan(f, seg.end, info.Size(), maxEntry, func(off int64, p []byte) bool {
+		l := loc{path: seg.path, off: off, n: frame.HeaderSize + len(p)}
+		kind, key, _, ok := splitEntry(p)
+		var rk Key
+		var sk SnapKey
+		switch {
+		case ok && kind == kindResult && json.Unmarshal(key, &rk) == nil:
+			s.mu.Lock()
+			s.results[rk] = l
+			s.mu.Unlock()
+		case ok && kind == kindSnap && json.Unmarshal(key, &sk) == nil:
+			s.mu.Lock()
+			s.indexSnap(sk, l)
+			s.mu.Unlock()
+		}
+		return true
+	})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	seg.end = end
+	s.segs[seg.path] = seg
 }
 
 // PruneStats reports what Prune removed.
@@ -296,18 +478,21 @@ type PruneStats struct {
 	Files int
 	Bytes int64
 	// Dirs counts the removed directory trees: stale v<k> version
-	// directories, stale streams/v<k> spill directories, and legacy
-	// flat fan-out directories from engine versions ≤ 2.
+	// directories, stale streams/v<k> spill directories, legacy flat
+	// fan-out directories from engine versions ≤ 2, and the current
+	// version's file-per-entry directories from before segments.
 	Dirs int
 }
 
-// Prune deletes every cache entry written under an engine version
-// other than keep (results and snapshots under v<k>/, spilled streams
-// under streams/v<k>/, and entries from the pre-versioned flat layout
-// of engine versions ≤ 2). Without pruning, every EngineVersion bump
-// strands the previous version's entries on disk forever. Callers
-// pass EngineVersion. Concurrent engines writing the current version
-// are unaffected: only non-current version directories are touched.
+// Prune deletes every cache entry a Store can no longer read: entries
+// written under an engine version other than keep (results and
+// snapshots under v<k>/, spilled streams under streams/v<k>/), entries
+// from the pre-versioned flat layout of engine versions ≤ 2, and the
+// current version's file-per-entry layout from before segments
+// (v<keep>/<2-hex>/ result files and v<keep>/snap/). Without pruning,
+// every EngineVersion bump strands the previous version's entries on
+// disk forever. Callers pass EngineVersion. Concurrent engines writing
+// the current version are unaffected: its segments are never touched.
 func (s *Store) Prune(keep int) (PruneStats, error) {
 	var st PruneStats
 	if s.dir == "" {
@@ -349,7 +534,18 @@ func (s *Store) Prune(keep int) (PruneStats, error) {
 			}
 		case e.IsDir() && isStaleVersionDir(name, keepName):
 			rm(filepath.Join(s.dir, name))
-		case e.IsDir() && isLegacyFanout(name) && isLegacyFanoutDir(filepath.Join(s.dir, name)):
+		case e.IsDir() && name == keepName:
+			subs, err := os.ReadDir(filepath.Join(s.dir, name))
+			if err != nil {
+				continue
+			}
+			for _, sub := range subs {
+				p := filepath.Join(s.dir, name, sub.Name())
+				if sub.IsDir() && (sub.Name() == "snap" || isLegacyFanoutDir(p)) {
+					rm(p)
+				}
+			}
+		case e.IsDir() && isLegacyFanoutDir(filepath.Join(s.dir, name)):
 			// Engine versions ≤ 2 fanned result files directly under
 			// the root as <2-hex-digit>/ directories; those entries can
 			// never be addressed again. The content check guards users
@@ -371,31 +567,17 @@ func isStaleVersionDir(name, keepName string) bool {
 	return err == nil
 }
 
-// isLegacyFanout reports whether name is a two-hex-digit fan-out
-// directory name from the pre-versioned store layout.
-func isLegacyFanout(name string) bool {
-	if len(name) != 2 {
+// isLegacyFanoutDir reports whether path is a result fan-out directory
+// of the file-per-entry store layout: a two-hex-digit name holding only
+// regular files named <62-hex-digits>.json (the id remainder after the
+// 2-digit fan-out), their quarantined .json.bad copies, or .tmp-*
+// leftovers. Anything else means the directory is not ours to delete —
+// a two-hex name alone (db/, ad/, f0/) is not proof when the cache dir
+// is shared with unrelated data.
+func isLegacyFanoutDir(path string) bool {
+	if name := filepath.Base(path); len(name) != 2 || !isHex(name) {
 		return false
 	}
-	for i := 0; i < 2; i++ {
-		if !isHex(name[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func isHex(c byte) bool {
-	return c >= '0' && c <= '9' || c >= 'a' && c <= 'f'
-}
-
-// isLegacyFanoutDir reports whether the directory's contents look like
-// pre-versioned store entries: only regular files named
-// <62-hex-digits>.json (the id remainder after the 2-digit fan-out)
-// or .tmp-* leftovers. Anything else means the directory is not ours
-// to delete — a two-hex name alone (db/, ad/, f0/) is not proof when
-// the cache dir is shared with unrelated data.
-func isLegacyFanoutDir(path string) bool {
 	ents, err := os.ReadDir(path)
 	if err != nil {
 		return false
@@ -408,14 +590,18 @@ func isLegacyFanoutDir(path string) bool {
 		if strings.HasPrefix(name, ".tmp-") {
 			continue
 		}
-		rest, ok := strings.CutSuffix(name, ".json")
-		if !ok || len(rest) != 62 {
+		rest, ok := strings.CutSuffix(strings.TrimSuffix(name, ".bad"), ".json")
+		if !ok || len(rest) != 62 || !isHex(rest) {
 			return false
 		}
-		for i := 0; i < len(rest); i++ {
-			if !isHex(rest[i]) {
-				return false
-			}
+	}
+	return true
+}
+
+func isHex(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f') {
+			return false
 		}
 	}
 	return true

@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/faultinject"
+	"repro/internal/frame"
 )
 
 func testKey() Key {
@@ -55,24 +57,24 @@ func TestStoreKeySensitivity(t *testing.T) {
 	}
 	seen := map[string]int{}
 	for i, k := range variants {
-		id := k.id()
-		if prev, dup := seen[id]; dup {
-			t.Errorf("variants %d and %d share id %s", prev, i, id)
+		enc := string(encodeKey(k))
+		if prev, dup := seen[enc]; dup {
+			t.Errorf("variants %d and %d share the key encoding %s", prev, i, enc)
 		}
-		seen[id] = i
+		seen[enc] = i
 	}
 }
 
 func TestStoreKeyEncodingUnambiguous(t *testing.T) {
 	// The old '|'-joined encoding collided these two keys, letting one
-	// entry overwrite the other's file. The canonical encoding must
-	// keep field boundaries.
+	// entry overwrite the other's. The canonical encoding must keep
+	// field boundaries.
 	a := testKey()
 	a.Config, a.Suite = "a|b", "c"
 	b := testKey()
 	b.Config, b.Suite = "a", "b|c"
-	if a.id() == b.id() {
-		t.Fatalf("ambiguous key encoding: %+v and %+v share id %s", a, b, a.id())
+	if string(encodeKey(a)) == string(encodeKey(b)) {
+		t.Fatalf("ambiguous key encoding: %+v and %+v share %s", a, b, encodeKey(a))
 	}
 
 	s := OpenStore(t.TempDir())
@@ -92,81 +94,137 @@ func TestStoreKeyEncodingUnambiguous(t *testing.T) {
 	}
 }
 
-func TestStoreSaveCleansUpTempOnRenameFailure(t *testing.T) {
-	dir := t.TempDir()
-	s := OpenStore(dir)
-	k := testKey()
-	// Make the destination path un-renameable-over: a directory where
-	// the entry file should go. (chmod tricks don't work under root,
-	// and tests may run as root in CI containers.)
-	p := s.path(k)
-	if err := os.MkdirAll(p, 0o755); err != nil {
-		t.Fatal(err)
+// resultLoc returns the index entry of a result key.
+func resultLoc(t *testing.T, s *Store, k Key) loc {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	l, ok := s.results[k]
+	if !ok {
+		t.Fatalf("key %+v not indexed", k)
 	}
-	if err := s.Save(k, Result{Trace: "MM-4"}); err == nil {
-		t.Fatal("Save over a directory succeeded")
+	return l
+}
+
+// snapLoc returns the index entry of a snapshot key.
+func snapLoc(t *testing.T, s *Store, k SnapKey) loc {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	l, ok := s.snaps[k.group()][k.Pos]
+	if !ok {
+		t.Fatalf("snapshot %+v not indexed", k)
 	}
-	ents, err := os.ReadDir(filepath.Dir(p))
+	return l
+}
+
+// editFile rewrites a file through fn.
+func editFile(t *testing.T, path string, fn func([]byte) []byte) {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), ".tmp-") {
-			t.Errorf("orphaned temp file %s left after failed rename", e.Name())
-		}
+	if err := os.WriteFile(path, fn(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// flipByte flips one byte of the frame at l, i bytes into the frame.
+func flipByte(t *testing.T, l loc, i int) {
+	t.Helper()
+	editFile(t, l.path, func(b []byte) []byte { b[l.off+int64(i)] ^= 0xff; return b })
+}
+
+func TestStoreSaveFailsCleanlyOnUnwritableSegment(t *testing.T) {
+	dir := t.TempDir()
+	s := OpenStore(dir)
+	k := testKey()
+	// A file where the segment directory should be: creating the
+	// segment fails. (chmod tricks don't work under root, and tests may
+	// run as root in CI containers.)
+	blocked := s.segDir(EngineVersion)
+	if err := os.MkdirAll(filepath.Dir(blocked), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(blocked, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save(k, Result{Trace: "MM-4"}); err == nil {
+		t.Fatal("Save into a blocked segment directory succeeded")
+	}
+	if _, ok := s.Load(k); ok {
+		t.Fatal("failed Save left a readable entry")
+	}
+	// Once the directory can be created, the same Store saves again.
+	if err := os.Remove(blocked); err != nil {
+		t.Fatal(err)
+	}
+	want := Result{Trace: "MM-4", Mispredicted: 5}
+	if err := s.Save(k, want); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Load(k); !ok || got != want {
+		t.Fatalf("Load after recovery = %+v, %v; want %+v", got, ok, want)
 	}
 }
 
 func TestStoreRejectsCorruptEntry(t *testing.T) {
-	dir := t.TempDir()
-	s := OpenStore(dir)
+	s := OpenStore(t.TempDir())
 	k := testKey()
 	if err := s.Save(k, Result{Trace: "MM-4"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(s.path(k), []byte("{not json"), 0o644); err != nil {
+	if err := os.WriteFile(resultLoc(t, s, k).path, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Load(k); ok {
-		t.Error("corrupt entry served as a hit")
+		t.Error("corrupt segment served as a hit")
 	}
 }
 
-// quarantined asserts the entry at path was moved aside to path+".bad"
-// (or at least removed), so the poisoned file can never be read again.
-func quarantined(t *testing.T, path string) {
+// dropped asserts a result key is no longer indexed, so the bad frame
+// can never be read again.
+func dropped(t *testing.T, s *Store, k Key) {
 	t.Helper()
-	if _, err := os.Stat(path); err == nil {
-		t.Fatalf("corrupt entry still addressable at %s", path)
-	}
-	if _, err := os.Stat(path + ".bad"); err != nil {
-		t.Fatalf("corrupt entry not preserved at %s.bad: %v", path, err)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.results[k]; ok {
+		t.Fatalf("bad frame of %+v still indexed", k)
 	}
 }
 
+// TestStoreQuarantinesGarbageEntry: a flipped byte in a result frame
+// fails its checksum; the load is a miss, the key leaves the index,
+// and the next save makes it a hit again.
 func TestStoreQuarantinesGarbageEntry(t *testing.T) {
 	s := OpenStore(t.TempDir())
 	k := testKey()
 	if err := s.Save(k, Result{Trace: "MM-4"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(s.path(k), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	l := resultLoc(t, s, k)
+	flipByte(t, l, l.n-2)
 	if _, ok := s.Load(k); ok {
-		t.Fatal("garbage entry served as a hit")
+		t.Fatal("frame with a flipped byte served as a hit")
 	}
-	quarantined(t, s.path(k))
-	// The slot is usable again: a fresh Save round-trips.
+	dropped(t, s, k)
+	// A fresh Store scanning the segment stops at the bad frame too.
+	if _, ok := OpenStore(s.Dir()).Load(k); ok {
+		t.Fatal("fresh Store served the corrupt frame")
+	}
+	// The key is usable again: a fresh Save round-trips.
 	want := Result{Trace: "MM-4", Mispredicted: 7}
 	if err := s.Save(k, want); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := s.Load(k); !ok || got != want {
-		t.Fatalf("Load after requarantined Save = %+v, %v; want %+v", got, ok, want)
+		t.Fatalf("Load after re-Save = %+v, %v; want %+v", got, ok, want)
 	}
 }
 
+// TestStoreQuarantinesKeyMismatch: a frame whose stored key differs
+// from the requested key is a miss, even when its checksum holds.
 func TestStoreQuarantinesKeyMismatch(t *testing.T) {
 	s := OpenStore(t.TempDir())
 	a, b := testKey(), testKey()
@@ -174,83 +232,52 @@ func TestStoreQuarantinesKeyMismatch(t *testing.T) {
 	if err := s.Save(a, Result{Trace: "MM-4"}); err != nil {
 		t.Fatal(err)
 	}
-	// Plant a's (valid, self-describing) entry at b's address: the key
-	// embedded in the file disagrees with the address, so Load must
-	// quarantine rather than trust either.
-	data, err := os.ReadFile(s.path(a))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(filepath.Dir(s.path(b)), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(s.path(b), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Point b's index entry at a's (intact, self-describing) frame: the
+	// key stored in the frame disagrees, so Load must drop rather than
+	// trust it.
+	s.mu.Lock()
+	s.results[b] = s.results[a]
+	s.mu.Unlock()
 	if _, ok := s.Load(b); ok {
-		t.Fatal("key-mismatched entry served as a hit")
+		t.Fatal("key-mismatched frame served as a hit")
 	}
-	quarantined(t, s.path(b))
+	dropped(t, s, b)
+	if _, ok := s.Load(a); !ok {
+		t.Fatal("the frame's own key stopped loading")
+	}
 }
 
-func TestStoreQuarantinesBadSnapshots(t *testing.T) {
-	s := OpenStore(t.TempDir())
-	k := SnapKey{Engine: EngineVersion, Config: "tage-gsc+imli", Suite: "cbp4", Trace: "MM-4", Seed: 1, Pos: 50000}
-	payload := []byte("predictor state bytes")
-	corruptions := map[string]func([]byte) []byte{
-		"truncated-below-frame": func(b []byte) []byte { return b[:len(snapMagic)+1] },
-		"bad-magic":             func(b []byte) []byte { b[0] ^= 0xff; return b },
-		"oversized-key-length":  func(b []byte) []byte { b[len(snapMagic)+3] = 0x7f; return b },
-		"garbage-key":           func(b []byte) []byte { b[len(snapMagic)+4] ^= 0xff; return b },
+// TestStoreSegmentTruncatedMidFrame: a segment cut inside a frame (a
+// writer that crashed mid-append) still serves the frames before the
+// cut, and another writer's later frames are still indexed.
+func TestStoreSegmentTruncatedMidFrame(t *testing.T) {
+	dir := t.TempDir()
+	w1, w2 := OpenStore(dir), OpenStore(dir)
+	keys := make([]Key, 5)
+	for i := range keys {
+		keys[i] = testKey()
+		keys[i].Shard = i
 	}
-	for name, corrupt := range corruptions {
-		t.Run(name, func(t *testing.T) {
-			if err := s.SaveSnapshot(k, payload); err != nil {
-				t.Fatal(err)
-			}
-			data, err := os.ReadFile(s.snapPath(k))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(s.snapPath(k), corrupt(data), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := s.LoadSnapshot(k); ok {
-				t.Fatal("corrupt snapshot served as a hit")
-			}
-			if _, err := os.Stat(s.snapPath(k)); err == nil {
-				t.Fatal("corrupt snapshot still addressable")
-			}
-			// The quarantined name must be invisible to position listing,
-			// or resume would keep probing the poisoned position.
-			for _, pos := range s.SnapshotPositions(k) {
-				if pos == k.Pos {
-					t.Fatalf("quarantined snapshot position %d still listed", pos)
-				}
-			}
-		})
+	for _, k := range keys[:3] {
+		if err := w1.Save(k, Result{Trace: "MM-4", Mispredicted: uint64(k.Shard)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	// A snapshot stored under the wrong address (key mismatch) is
-	// quarantined too.
-	other := k
-	other.Pos = 99999
-	if err := s.SaveSnapshot(k, payload); err != nil {
+	torn := resultLoc(t, w1, keys[2])
+	if err := os.Truncate(torn.path, torn.off+int64(torn.n)/2); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(s.snapPath(k))
-	if err != nil {
-		t.Fatal(err)
+	for _, k := range keys[3:] {
+		if err := w2.Save(k, Result{Trace: "MM-4", Mispredicted: uint64(k.Shard)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := os.WriteFile(s.snapPath(other), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.LoadSnapshot(other); ok {
-		t.Fatal("key-mismatched snapshot served as a hit")
-	}
-	quarantined(t, s.snapPath(other))
-	if got, ok := s.LoadSnapshot(k); !ok || string(got) != string(payload) {
-		t.Fatalf("original snapshot damaged by quarantine of its copy: %q, %v", got, ok)
+	r := OpenStore(dir)
+	for _, k := range keys {
+		got, ok := r.Load(k)
+		if want := k.Shard != 2; ok != want || ok && got.Mispredicted != uint64(k.Shard) {
+			t.Errorf("shard %d: Load = %+v, %v; want hit %v", k.Shard, got, ok, want)
+		}
 	}
 }
 
@@ -263,15 +290,13 @@ func TestStoreFaultPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// An injected read fault is a transient miss: no hit, but also no
-	// quarantine — the entry must survive for the next, un-faulted read.
+	// An injected read fault is a transient miss: no hit, but the entry
+	// stays indexed for the next, un-faulted read.
 	faultinject.Enable(faultinject.Plan{"sim/store.load": {Nth: []int{1}}})
 	if _, ok := s.Load(k); ok {
 		t.Fatal("Load hit through an injected fault")
 	}
-	if _, err := os.Stat(s.path(k)); err != nil {
-		t.Fatalf("injected read fault quarantined a healthy entry: %v", err)
-	}
+	resultLoc(t, s, k)
 	if got, ok := s.Load(k); !ok || got != want {
 		t.Fatalf("Load after fault window = %+v, %v; want %+v", got, ok, want)
 	}
@@ -301,8 +326,8 @@ func TestStoreFaultPoints(t *testing.T) {
 	if _, ok := s.LoadSnapshot(sk); ok {
 		t.Fatal("LoadSnapshot hit through an injected fault")
 	}
-	if _, err := os.Stat(s.snapPath(sk)); err != nil {
-		t.Fatalf("injected snapshot read fault quarantined a healthy snapshot: %v", err)
+	if !s.HasSnapshot(sk) {
+		t.Fatal("injected snapshot read fault dropped a healthy snapshot")
 	}
 	if err := s.SaveSnapshot(sk, []byte("y")); err == nil {
 		t.Fatal("SaveSnapshot succeeded through an injected fault")
@@ -317,28 +342,205 @@ func TestStoreMissingDirIsMiss(t *testing.T) {
 	if _, ok := s.Load(testKey()); ok {
 		t.Error("missing directory produced a hit")
 	}
+	if pos := s.SnapshotPositions(SnapKey{Engine: EngineVersion}); len(pos) != 0 {
+		t.Errorf("missing directory listed snapshot positions %v", pos)
+	}
 }
 
-func TestStoreEntriesAreFannedOut(t *testing.T) {
+// TestStoreEntriesAreInSegments: entries are frames appended to one
+// segment per Store under the engine version directory — no file per
+// entry.
+func TestStoreEntriesAreInSegments(t *testing.T) {
 	dir := t.TempDir()
 	s := OpenStore(dir)
-	k := testKey()
-	if err := s.Save(k, Result{}); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 3; i++ {
+		k := testKey()
+		k.Shard = i
+		if err := s.Save(k, Result{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SaveSnapshot(SnapKey{Engine: EngineVersion, Pos: i + 1}, []byte("state")); err != nil {
+			t.Fatal(err)
+		}
 	}
-	p := s.path(k)
-	rel, err := filepath.Rel(dir, p)
+	ents, err := os.ReadDir(dir)
+	if err != nil || len(ents) != 1 || ents[0].Name() != versionDir(EngineVersion) {
+		t.Fatalf("store root holds %v (%v), want only %s", ents, err, versionDir(EngineVersion))
+	}
+	segs, err := os.ReadDir(s.segDir(EngineVersion))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segment directory holds %v (%v), want one segment", segs, err)
+	}
+	info, err := segs[0].Info()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := filepath.Dir(rel)
-	if len(filepath.Base(sub)) != 2 {
-		t.Errorf("entry not fanned into a 2-hex subdirectory: %s", rel)
+	var frames int
+	f, err := os.Open(filepath.Join(s.segDir(EngineVersion), segs[0].Name()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if filepath.Dir(sub) != versionDir(EngineVersion) {
-		t.Errorf("entry not under the engine version directory: %s", rel)
+	defer f.Close()
+	end, err := frame.Scan(f, 0, info.Size(), maxEntry, func(int64, []byte) bool { frames++; return true })
+	if err != nil || end != info.Size() || frames != 6 {
+		t.Errorf("segment scan: %d frames, end %d of %d (%v); want 6 frames covering the file", frames, end, info.Size(), err)
 	}
-	if _, err := os.Stat(p); err != nil {
-		t.Errorf("entry file missing: %v", err)
+}
+
+// TestStoreTwoInstancesShareDirectory: two Stores on one directory —
+// the stand-in for two processes — see each other's saves.
+func TestStoreTwoInstancesShareDirectory(t *testing.T) {
+	dir := t.TempDir()
+	a, b := OpenStore(dir), OpenStore(dir)
+	ka, kb := testKey(), testKey()
+	kb.Shard++
+	ra, rb := Result{Trace: "MM-4", Mispredicted: 1}, Result{Trace: "MM-4", Mispredicted: 2}
+	sk := SnapKey{Engine: EngineVersion, Config: "c", Suite: "cbp4", Trace: "MM-4", Seed: 1, Pos: 4000}
+
+	if err := a.Save(ka, ra); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := b.Load(ka); !ok || got != ra {
+		t.Fatalf("b.Load(a's key) = %+v, %v", got, ok)
+	}
+	if err := b.Save(kb, rb); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.SaveSnapshot(sk, []byte("state")); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := a.Load(kb); !ok || got != rb {
+		t.Fatalf("a.Load(b's key) = %+v, %v", got, ok)
+	}
+	if pos := a.SnapshotPositions(sk); len(pos) != 1 || pos[0] != sk.Pos {
+		t.Fatalf("a.SnapshotPositions = %v, want [%d]", pos, sk.Pos)
+	}
+	if got, ok := a.LoadSnapshot(sk); !ok || string(got) != "state" {
+		t.Fatalf("a.LoadSnapshot = %q, %v", got, ok)
+	}
+}
+
+// TestStoreConcurrentAccess runs saves, loads and snapshot calls from
+// several goroutines over two Stores sharing one directory; under
+// -race it checks the index and segment locking.
+func TestStoreConcurrentAccess(t *testing.T) {
+	dir := t.TempDir()
+	stores := []*Store{OpenStore(dir), OpenStore(dir)}
+	const goroutines, perG = 6, 20
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines*perG)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			s := stores[g%len(stores)]
+			for i := 0; i < perG; i++ {
+				k := testKey()
+				k.Shard, k.Budget = i, g
+				want := Result{Trace: "MM-4", Mispredicted: uint64(g*perG + i)}
+				sk := SnapKey{Engine: EngineVersion, Config: "c", Trace: fmt.Sprint(g), Pos: i + 1}
+				payload := []byte(fmt.Sprintf("state %d/%d", g, i))
+				if err := s.Save(k, want); err != nil {
+					errs <- err
+					return
+				}
+				if err := s.SaveSnapshot(sk, payload); err != nil {
+					errs <- err
+					return
+				}
+				if got, ok := s.Load(k); !ok || got != want {
+					errs <- fmt.Errorf("goroutine %d: Load = %+v, %v; want %+v", g, got, ok, want)
+				}
+				if pos := s.SnapshotPositions(sk); len(pos) != i+1 || pos[0] != i+1 {
+					errs <- fmt.Errorf("goroutine %d: SnapshotPositions = %v after %d saves", g, pos, i+1)
+				}
+				if got, ok := s.LoadSnapshot(sk); !ok || string(got) != string(payload) {
+					errs <- fmt.Errorf("goroutine %d: LoadSnapshot = %q, %v", g, got, ok)
+				}
+				// Read another Store's entries too: misses rescan its
+				// segment while it is being appended to.
+				other := stores[(g+1)%len(stores)]
+				other.Load(k)
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	// Afterwards every entry is visible through either Store.
+	for _, s := range stores {
+		for g := 0; g < goroutines; g++ {
+			k := testKey()
+			k.Shard, k.Budget = perG-1, g
+			if _, ok := s.Load(k); !ok {
+				t.Errorf("entry of goroutine %d not visible", g)
+			}
+		}
+	}
+}
+
+// TestStoreQuarantinesBadSnapshots: a snapshot frame that fails its
+// checks is a miss and leaves the index, so SnapshotPositions stops
+// offering the position and resume stops probing it.
+func TestStoreQuarantinesBadSnapshots(t *testing.T) {
+	k := SnapKey{Engine: EngineVersion, Config: "tage-gsc+imli", Suite: "cbp4", Trace: "MM-4", Seed: 1, Pos: 50000}
+	payload := []byte("predictor state bytes")
+	corruptions := map[string]func(t *testing.T, l loc){
+		"truncated-below-frame": func(t *testing.T, l loc) {
+			if err := os.Truncate(l.path, l.off+frame.HeaderSize+1); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"bad-magic": func(t *testing.T, l loc) { flipByte(t, l, 4) }, // the checksum
+		"oversized-key-length": func(t *testing.T, l loc) {
+			editFile(t, l.path, func(b []byte) []byte { b[l.off+3] = 0x7f; return b }) // the frame length
+		},
+		"garbage-key": func(t *testing.T, l loc) { flipByte(t, l, frame.HeaderSize+5) },
+	}
+	for name, corrupt := range corruptions {
+		t.Run(name, func(t *testing.T) {
+			s := OpenStore(t.TempDir())
+			if err := s.SaveSnapshot(k, payload); err != nil {
+				t.Fatal(err)
+			}
+			corrupt(t, snapLoc(t, s, k))
+			if _, ok := s.LoadSnapshot(k); ok {
+				t.Fatal("corrupt snapshot served as a hit")
+			}
+			if s.HasSnapshot(k) {
+				t.Fatal("corrupt snapshot still indexed")
+			}
+			for _, pos := range s.SnapshotPositions(k) {
+				if pos == k.Pos {
+					t.Fatalf("dropped snapshot position %d still listed", pos)
+				}
+			}
+			if _, ok := OpenStore(s.Dir()).LoadSnapshot(k); ok {
+				t.Fatal("fresh Store served the corrupt snapshot")
+			}
+		})
+	}
+
+	// A snapshot frame stored under another key (key mismatch) is
+	// dropped too, and the frame's own key still loads.
+	s := OpenStore(t.TempDir())
+	other := k
+	other.Pos = 99999
+	if err := s.SaveSnapshot(k, payload); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	s.indexSnap(other, s.snaps[k.group()][k.Pos])
+	s.mu.Unlock()
+	if _, ok := s.LoadSnapshot(other); ok {
+		t.Fatal("key-mismatched snapshot served as a hit")
+	}
+	if s.HasSnapshot(other) {
+		t.Fatal("key-mismatched snapshot still indexed")
+	}
+	if got, ok := s.LoadSnapshot(k); !ok || string(got) != string(payload) {
+		t.Fatalf("original snapshot damaged by dropping its alias: %q, %v", got, ok)
 	}
 }

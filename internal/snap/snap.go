@@ -54,6 +54,11 @@ type Encoder struct {
 // NewEncoder returns an empty encoder.
 func NewEncoder() *Encoder { return &Encoder{} }
 
+// Reset empties the encoder and keeps its buffer, so one encoder can
+// build snapshot after snapshot without growing a new buffer each time.
+// Bytes returned earlier are overwritten by later encoding.
+func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+
 // Bytes returns the encoded stream.
 func (e *Encoder) Bytes() []byte { return e.buf }
 

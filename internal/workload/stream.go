@@ -17,7 +17,10 @@ import (
 // (trace name, seed, budget) into a compact in-memory buffer and
 // handed out as a read-only []trace.Record slice, so the simulation
 // engine's shards — and every configuration of a batch run sharing the
-// cache — stop paying O(shards × budget) regeneration work.
+// cache — stop paying O(shards × budget) regeneration work. Streams
+// are prefix-stable (a shorter budget's stream is a prefix of a longer
+// one's), so the cache keeps one backing array per (trace name, seed)
+// and serves every resident budget as a prefix view of it.
 
 // streamFormatVersion participates in every spill-file name. Bump it
 // whenever generator semantics change so stale spilled streams can
@@ -48,7 +51,9 @@ func (s *Stream) Name() string { return s.name }
 // MUST be treated as read-only by all callers.
 func (s *Stream) Records() []trace.Record { return s.recs }
 
-// Bytes returns the resident size the stream is accounted at.
+// Bytes returns the resident size of the stream's records. Streams
+// the cache serves as prefix views share their backing array, which
+// the cache accounts once per (trace name, seed).
 func (s *Stream) Bytes() int64 { return int64(cap(s.recs)) * recordBytes }
 
 // streamKey identifies one materialized stream: everything generation
@@ -62,8 +67,28 @@ type streamKey struct {
 type streamEntry struct {
 	key    streamKey
 	ready  chan struct{} // closed once stream is set
-	stream *Stream
+	stream *Stream       // read under the cache lock: re-pointed when a longer stream of the group arrives
 	elem   *list.Element // position in the LRU list; nil once evicted
+}
+
+// groupKey identifies the streams of one benchmark at every budget.
+type groupKey struct {
+	name string
+	seed uint64
+}
+
+// streamGroup holds the backing array the resident streams of one
+// (trace name, seed) share: the longest of them, of which every other
+// one is a prefix.
+type streamGroup struct {
+	recs    []trace.Record
+	members []*streamEntry
+}
+
+// view returns the stream of the first n records, its capacity
+// clipped so that no holder can append into the shared array.
+func (g *streamGroup) view(name string, n int) *Stream {
+	return &Stream{name: name, recs: g.recs[:n:n]}
 }
 
 // StreamStats counts what a StreamCache did across its lifetime.
@@ -96,8 +121,9 @@ type StreamCache struct {
 
 	mu      sync.Mutex
 	entries map[streamKey]*streamEntry
+	groups  map[groupKey]*streamGroup
 	order   *list.List // front = most recently used
-	bytes   int64
+	bytes   int64      // backing arrays of the groups
 
 	generated  uint64
 	hits       uint64
@@ -119,6 +145,7 @@ func NewStreamCache(maxBytes int64, spillDir string) *StreamCache {
 		maxBytes: maxBytes,
 		spillDir: spillDir,
 		entries:  map[streamKey]*streamEntry{},
+		groups:   map[groupKey]*streamGroup{},
 		order:    list.New(),
 	}
 }
@@ -159,6 +186,8 @@ func (c *StreamCache) Get(b Benchmark, budget int) *Stream {
 		c.hits++
 		c.mu.Unlock()
 		<-e.ready
+		c.mu.Lock()
+		defer c.mu.Unlock()
 		return e.stream
 	}
 	e := &streamEntry{key: key, ready: make(chan struct{})}
@@ -178,7 +207,6 @@ func (c *StreamCache) Get(b Benchmark, budget int) *Stream {
 	}
 
 	c.mu.Lock()
-	e.stream = st
 	if spilled {
 		c.spillLoads++
 	} else {
@@ -191,10 +219,11 @@ func (c *StreamCache) Get(b Benchmark, budget int) *Stream {
 		// resident: the bound is a promise.
 		delete(c.entries, key)
 	} else {
+		st = c.joinLocked(e, st.recs)
 		e.elem = c.order.PushFront(e)
-		c.bytes += st.Bytes()
 		c.evictLocked(e)
 	}
+	e.stream = st
 	c.mu.Unlock()
 	close(e.ready)
 	if !spilled {
@@ -218,8 +247,49 @@ func (c *StreamCache) evictLocked(keep *streamEntry) {
 		}
 		c.order.Remove(back)
 		e.elem = nil
-		c.bytes -= e.stream.Bytes()
 		delete(c.entries, e.key)
+		c.leaveLocked(e)
+	}
+}
+
+// joinLocked makes e a resident member of its (trace name, seed) group
+// and returns e's stream as a view of the group's backing array. A
+// stream longer than the backing array becomes the new backing array,
+// and the members already resident are re-pointed at prefix views of
+// it, so their old arrays are freed once no simulation holds them. A
+// shorter one is dropped in favour of a view.
+func (c *StreamCache) joinLocked(e *streamEntry, recs []trace.Record) *Stream {
+	gk := groupKey{name: e.key.name, seed: e.key.seed}
+	g := c.groups[gk]
+	if g == nil {
+		g = &streamGroup{}
+		c.groups[gk] = g
+	}
+	if len(recs) > len(g.recs) {
+		c.bytes += int64(cap(recs)-cap(g.recs)) * recordBytes
+		g.recs = recs
+		for _, m := range g.members {
+			m.stream = g.view(m.key.name, len(m.stream.recs))
+		}
+	}
+	g.members = append(g.members, e)
+	return g.view(e.key.name, len(recs))
+}
+
+// leaveLocked removes an evicted entry from its group, and the group
+// with its backing array once no member is left.
+func (c *StreamCache) leaveLocked(e *streamEntry) {
+	gk := groupKey{name: e.key.name, seed: e.key.seed}
+	g := c.groups[gk]
+	for i, m := range g.members {
+		if m == e {
+			g.members = append(g.members[:i], g.members[i+1:]...)
+			break
+		}
+	}
+	if len(g.members) == 0 {
+		c.bytes -= int64(cap(g.recs)) * recordBytes
+		delete(c.groups, gk)
 	}
 }
 

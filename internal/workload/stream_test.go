@@ -265,3 +265,53 @@ func TestStreamUnwritableSpillDegrades(t *testing.T) {
 		t.Fatal("unwritable spill dir blocked materialization")
 	}
 }
+
+// TestStreamCachePrefixViews: two budgets of one benchmark share one
+// backing array once the longer one is resident; the shorter stream
+// stays exactly what Generate makes, its capacity is clipped, and the
+// generation and hit counters are what separate arrays gave.
+func TestStreamCachePrefixViews(t *testing.T) {
+	b := mustBench(t, "MM-4")
+	c := NewStreamCache(0, "")
+	short := c.Get(b, 1000)
+	long := c.Get(b, 2000)
+	if short == nil || long == nil {
+		t.Fatal("stream not materialized")
+	}
+	// The short entry is re-pointed at a view of the long stream's
+	// array; a repeated Get returns that view.
+	view := c.Get(b, 1000)
+	if &view.Records()[0] != &long.Records()[0] {
+		t.Fatal("budgets of one benchmark do not share a backing array")
+	}
+	if got := c.Get(b, 2000); got != long {
+		t.Fatal("repeated Get of the longest budget returned a different stream")
+	}
+	var direct []trace.Record
+	b.Generate(1000, func(r trace.Record) { direct = append(direct, r) })
+	recs := view.Records()
+	if len(recs) != len(direct) || len(recs) != len(short.Records()) {
+		t.Fatalf("view has %d records, Generate %d, the first stream %d", len(recs), len(direct), len(short.Records()))
+	}
+	for i := range direct {
+		if recs[i] != direct[i] {
+			t.Fatalf("record %d of the view differs from Generate", i)
+		}
+	}
+	if cap(recs) != len(recs) || cap(long.Records()) != len(long.Records()) {
+		t.Errorf("views not clipped: cap %d for %d records, cap %d for %d", cap(recs), len(recs), cap(long.Records()), len(long.Records()))
+	}
+	// A shorter budget generated after a longer one is served from the
+	// resident array too, with the same counters as before.
+	shorter := c.Get(b, 500)
+	if &shorter.Records()[0] != &long.Records()[0] {
+		t.Error("a shorter budget generated later got its own backing array")
+	}
+	st := c.Stats()
+	if st.Generated != 3 || st.Hits != 2 || st.ResidentStreams != 3 {
+		t.Errorf("stats = %+v, want 3 generated, 2 hits, 3 resident", st)
+	}
+	if want := int64(cap(long.Records())) * recordBytes; st.ResidentBytes > want+64*recordBytes {
+		t.Errorf("resident bytes %d, want one backing array (~%d)", st.ResidentBytes, want)
+	}
+}
