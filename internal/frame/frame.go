@@ -6,10 +6,12 @@
 //
 // frames, little-endian. A crash can tear the last frame of a log; a
 // reader stops at the first frame that is short, claims more bytes
-// than its bound or than the log still holds, or fails its checksum,
-// so a torn tail reads as the end of the log. The length bound is
-// checked before any allocation, so a corrupt length field cannot
-// force a huge one.
+// than its bound or than the log still holds, or (for Scan, which
+// reads whole frames) fails its checksum, so a torn tail reads as the
+// end of the log. Walk reads headers only and leaves the checksum to
+// Parse, when a frame it found is read. The length bound is checked
+// before any allocation, so a corrupt length field cannot force a huge
+// one.
 package frame
 
 import (
@@ -88,6 +90,45 @@ func Scan(r io.ReaderAt, off, end int64, max int, fn func(off int64, payload []b
 		}
 		off += HeaderSize + n
 	}
+}
+
+// Walk is Scan without reading whole payloads: it calls fn with each
+// frame's offset, payload length and up to peek leading payload bytes
+// (head, valid only during the call), and leaves the checksum to
+// whoever reads the frame later through Parse. It stops at the first
+// frame whose header is short or claims more than max payload bytes or
+// more than remain before end, and when fn returns false, and returns
+// the offset just past the last frame fn accepted. Frames lying within
+// one read window of each other share a read, so a log of small frames
+// costs few reads and a log of large ones one read per frame, whatever
+// their payload bytes.
+func Walk(r io.ReaderAt, off, end int64, max, peek int, fn func(off int64, n int, head []byte) bool) (int64, error) {
+	win := make([]byte, 0, HeaderSize+peek+4<<10)
+	var winOff int64 // the offset win[0] was read from
+	for end-off >= HeaderSize {
+		need := min(int64(HeaderSize+peek), end-off)
+		if off < winOff || off+need > winOff+int64(len(win)) {
+			win = win[:min(int64(cap(win)), end-off)]
+			n, err := r.ReadAt(win, off)
+			if err != nil && !errors.Is(err, io.EOF) {
+				return off, err
+			}
+			win, winOff = win[:n], off
+			if n < HeaderSize {
+				return off, nil
+			}
+		}
+		h := win[off-winOff:]
+		n := int64(binary.LittleEndian.Uint32(h))
+		if n > int64(max) || n > end-off-HeaderSize {
+			return off, nil
+		}
+		if !fn(off, int(n), h[HeaderSize:min(int64(len(h)), HeaderSize+min(n, int64(peek)))]) {
+			return off, nil
+		}
+		off += HeaderSize + n
+	}
+	return off, nil
 }
 
 // readErr drops the errors that only mean the log ended (cleanly or

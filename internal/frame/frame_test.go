@@ -74,3 +74,51 @@ func TestScanStopsWhenRejected(t *testing.T) {
 		t.Fatalf("Scan = %d, %v; want the offset after the accepted frame", end, err)
 	}
 }
+
+// TestWalkMatchesScan: Walk reports every frame Scan does — offset,
+// length and the first peek payload bytes — across frames smaller and
+// larger than its read window, and stops where Scan stops on a torn
+// tail or an over-bound length.
+func TestWalkMatchesScan(t *testing.T) {
+	const peek = 16
+	var log []byte
+	var payloads [][]byte
+	for i, n := range []int{3, 0, 40, 9000, 1, 20000, peek, peek + 1} {
+		p := make([]byte, n)
+		for j := range p {
+			p[j] = byte(i*31 + j)
+		}
+		payloads = append(payloads, p)
+		log = Append(log, p)
+	}
+	walk := func(log []byte, max int) (offs []int64, heads []string, end int64) {
+		end, err := Walk(bytes.NewReader(log), 0, int64(len(log)), max, peek, func(off int64, n int, head []byte) bool {
+			offs = append(offs, off)
+			heads = append(heads, string(head))
+			if p, ok := Parse(log[off : off+HeaderSize+int64(n)]); !ok || !bytes.HasPrefix(p, head) {
+				t.Fatalf("frame at %d: length %d or head %q disagrees with the frame", off, n, head)
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return offs, heads, end
+	}
+	offs, heads, end := walk(log, 1<<20)
+	if len(offs) != len(payloads) || end != int64(len(log)) {
+		t.Fatalf("Walk saw %d frames ending at %d; want %d ending at %d", len(offs), end, len(payloads), len(log))
+	}
+	for i, p := range payloads {
+		if want := string(p[:min(len(p), peek)]); heads[i] != want {
+			t.Errorf("frame %d: head %q, want %q", i, heads[i], want)
+		}
+	}
+	last := offs[len(offs)-1]
+	if _, _, end := walk(log[:len(log)-1], 1<<20); end != last {
+		t.Errorf("torn tail: Walk ended at %d, want %d", end, last)
+	}
+	if _, _, end := walk(log, 10000); end != offs[5] {
+		t.Errorf("over-bound frame: Walk ended at %d, want %d", end, offs[5])
+	}
+}

@@ -568,8 +568,6 @@ func (e *Engine) simulate(p predictor.Predictor, b workload.Benchmark, it ItemSp
 // a Snapshotter.
 func (e *Engine) restore(builder func() predictor.Predictor, it ItemSpec, limit int) (predictor.Predictor, Result, int) {
 	if e.store != nil {
-		buf := snapBufs.Get().(*[]byte)
-		defer snapBufs.Put(buf)
 		for _, pos := range e.store.SnapshotPositions(it.snapKey(0)) {
 			// A snapshot past limit would overshoot the window (a run
 			// cannot un-simulate); positions come sorted descending, so
@@ -577,7 +575,7 @@ func (e *Engine) restore(builder func() predictor.Predictor, it ItemSpec, limit 
 			if pos > limit || pos <= 0 {
 				continue
 			}
-			payload, ok := e.store.loadSnapshot(it.snapKey(pos), buf)
+			payload, ok := e.store.LoadSnapshot(it.snapKey(pos))
 			if !ok {
 				continue
 			}
@@ -611,14 +609,12 @@ func (e *Engine) saveSnapshot(p predictor.Predictor, k SnapKey, partial Result) 
 	snapEncoders.Put(enc)
 }
 
-// snapEncoders and snapBufs pool the snapshot encoders and the frame
-// buffers snapshots load into, so a resumed item does not grow a fresh
-// ~40 KB buffer for each. The decoder copies everything it restores,
-// so a buffer is free again once decoding returns.
-var (
-	snapEncoders = sync.Pool{New: func() any { return snap.NewEncoder() }}
-	snapBufs     = sync.Pool{New: func() any { return new([]byte) }}
-)
+// snapEncoders pools snapshot encoders, so a saved snapshot does not
+// grow a fresh ~40 KB buffer by append-doubling; on sweep-resume that
+// garbage cost about a quarter of the jobs per second. The store copies
+// the payload into its frame, so an encoder is free again once
+// SaveSnapshot returns.
+var snapEncoders = sync.Pool{New: func() any { return snap.NewEncoder() }}
 
 // encodeSimState serializes a snapshot payload into enc, from empty:
 // the partial result counters over the simulated prefix, then the full

@@ -145,7 +145,7 @@ func TestStoreSnapshotRoundTrip(t *testing.T) {
 	}
 
 	// A corrupt frame must read as a miss, not an error.
-	flipByte(t, snapLoc(t, s, k), frame.HeaderSize+1)
+	flipByte(t, indexed(t, s, k), frame.HeaderSize+1)
 	if _, ok := s.LoadSnapshot(k); ok {
 		t.Error("corrupt snapshot served as a hit")
 	}
@@ -281,5 +281,20 @@ func TestStorePrunePreSegmentLayout(t *testing.T) {
 	}
 	if _, ok := OpenStore(dir).Load(cur); !ok {
 		t.Error("current segment entry was pruned")
+	}
+	// A v<N>/snap holding anything but the old snapshot layout is not
+	// the store's to delete.
+	notes := filepath.Join(vdir, "snap", id, "notes.txt")
+	if err := os.MkdirAll(filepath.Dir(notes), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(notes, []byte("precious"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Prune(EngineVersion); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(notes); err != nil {
+		t.Errorf("prune deleted a snap directory with foreign content: %v", err)
 	}
 }

@@ -1,17 +1,21 @@
 package sim
 
 import (
-	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/frame"
@@ -62,18 +66,25 @@ type SnapKey struct {
 //	<dir>/v<N>/seg/<unique>.seg   entries, one internal/frame frame each
 //	<dir>/streams/v<N>/           spilled streams (see workload)
 //
-// Each Store appends to one segment of its own, created on its first
-// save; a frame's payload is [kind][u32 key length][key JSON][data].
-// An in-memory index maps each Key and SnapKey to the frame that holds
-// it. On a miss the Store scans the segments of other writers (other
-// Stores or processes sharing the directory) from where it last
-// stopped, up to the first short or checksum-failing frame, so a torn
-// tail reads as a miss until its writer completes it. Every load
-// re-reads its frame and checks the checksum and the exact key bytes;
-// a frame that fails is dropped from the index, so the load is a miss,
-// the item is simulated again, and the fresh append supersedes the bad
-// frame. All methods are safe for concurrent use; the Store holds no
-// open file between calls and needs no Close.
+// Each Store appends to one segment of its own, chosen on its first
+// save: a segment no writer has appended to for claimAfter (10 s) is
+// claimed by renaming it, and only when there is none is a new one
+// created, so the number of segments follows how many Stores write at
+// once, not how many ever did. A frame's payload is [kind][u32 key
+// length][key JSON][data]. An in-memory index maps each entry's id —
+// its kind and key JSON — to the frame that holds it. On a miss the
+// Store rescans the segments of other writers (other Stores or
+// processes sharing the directory): one directory listing and one stat
+// per segment, and only a segment that grew is read, from where the
+// last scan stopped up to its first short frame, so a torn tail reads
+// as a miss until its writer completes it. A scan reads frame headers
+// and keys, not payloads, so opening a filled cache costs per frame,
+// not per byte. Every load re-reads its frame and checks the checksum
+// and the exact key bytes; a frame that fails is dropped from the
+// index, so the load is a miss, the item is simulated again, and the
+// fresh append supersedes the bad frame. All methods are safe for
+// concurrent use; the Store holds no open file between calls and needs
+// no Close.
 type Store struct {
 	dir string
 
@@ -86,11 +97,11 @@ type Store struct {
 	// scanMu serializes rescans of other writers' segments.
 	scanMu sync.Mutex
 
-	// mu guards the index and the segment table.
-	mu      sync.Mutex
-	results map[Key]loc
-	snaps   map[SnapKey]map[int]loc // group (Pos 0) → position → frame
-	segs    map[string]*segment
+	// mu guards the index, the segment table and the segments' fields.
+	mu     sync.Mutex
+	index  map[string]loc          // entry id → frame
+	groups map[string]map[int]bool // snapshot group id → positions
+	segs   map[string]*segment
 }
 
 // segment is one segment file and how far the Store has indexed it.
@@ -107,28 +118,46 @@ type loc struct {
 	n    int
 }
 
-// Frame payload kinds.
+// Frame payload kinds. An entry's id, which the index is keyed by, is
+// its kind followed by its canonical key encoding: exactly the bytes
+// its frame holds before the data, less the key length.
 const (
 	kindResult = 'r'
 	kindSnap   = 's'
 )
 
-// maxEntry bounds a segment frame's payload. The largest registry
-// snapshot is under 70 KB; the bound leaves room for far larger
-// predictors while keeping a corrupt length field from forcing a huge
-// allocation.
-const maxEntry = 64 << 20
+const (
+	// maxEntry bounds a segment frame's payload. The largest registry
+	// snapshot is under 70 KB; the bound leaves room for far larger
+	// predictors while keeping a corrupt length field from forcing a
+	// huge allocation.
+	maxEntry = 64 << 20
+	// maxKey bounds a frame's key encoding, so a scan finds every key
+	// in the first entryHead bytes of its frame without reading the
+	// data. Keys are a few hundred bytes.
+	maxKey    = 1 << 10
+	entryHead = 5 + maxKey
+	// claimAfter is how long a segment's writer must have been idle
+	// before another Store claims the segment. Claiming a segment whose
+	// writer is still alive costs only a miss or a retried append (see
+	// append and fetch), so the wait just keeps busy writers apart.
+	claimAfter = 10 * time.Second
+)
+
+// errBadFrame reports a frame that fails its checksum or holds another
+// entry than the one asked for.
+var errBadFrame = errors.New("sim: store frame fails its checks")
 
 // OpenStore returns a store rooted at dir. The directory is created
 // lazily on first save, so opening never fails; a missing or unwritable
 // directory degrades to cache misses.
 func OpenStore(dir string) *Store {
 	return &Store{
-		dir:     dir,
-		own:     map[int]*segment{},
-		results: map[Key]loc{},
-		snaps:   map[SnapKey]map[int]loc{},
-		segs:    map[string]*segment{},
+		dir:    dir,
+		own:    map[int]*segment{},
+		index:  map[string]loc{},
+		groups: map[string]map[int]bool{},
+		segs:   map[string]*segment{},
 	}
 }
 
@@ -156,11 +185,21 @@ func encodeKey(k any) []byte {
 	return b
 }
 
-// group is the key of a snapshot's (engine, config, suite, trace,
-// seed) group.
-func (k SnapKey) group() SnapKey {
-	k.Pos = 0
-	return k
+// entryID returns the id of the entry of the given kind under key k.
+func entryID(kind byte, k any) string {
+	return string(append([]byte{kind}, encodeKey(k)...))
+}
+
+// snapGroup splits a snapshot entry id into the id of its (engine,
+// config, suite, trace, seed) group and its stream position: Pos is
+// the last field of SnapKey, so the group id is the entry id up to it.
+func snapGroup(id string) (group string, pos int, ok bool) {
+	i := strings.LastIndex(id, `,"pos":`)
+	if i < 0 || id[0] != kindSnap {
+		return "", 0, false
+	}
+	pos, err := strconv.Atoi(strings.TrimSuffix(id[i+len(`,"pos":`):], "}"))
+	return id[:i], pos, err == nil
 }
 
 // Load returns the cached result for the key. A missing entry (or an
@@ -171,19 +210,8 @@ func (s *Store) Load(k Key) (Result, bool) {
 	if faultinject.Err("sim/store.load") != nil {
 		return Result{}, false
 	}
-	l, ok := s.lookup(k.Engine, func() (loc, bool) { l, ok := s.results[k]; return l, ok })
-	if !ok {
-		return Result{}, false
-	}
-	var buf []byte
-	data, ok := s.read(l, kindResult, encodeKey(k), &buf)
 	var r Result
-	if !ok || json.Unmarshal(data, &r) != nil {
-		s.mu.Lock()
-		if s.results[k] == l {
-			delete(s.results, k)
-		}
-		s.mu.Unlock()
+	if _, ok := s.fetch(k.Engine, entryID(kindResult, k), func(data []byte) bool { return json.Unmarshal(data, &r) == nil }); !ok {
 		return Result{}, false
 	}
 	return r, true
@@ -200,7 +228,7 @@ func (s *Store) Save(k Key, r Result) error {
 	if err != nil {
 		return err
 	}
-	return s.append(k.Engine, kindResult, encodeKey(k), data, func(l loc) { s.results[k] = l })
+	return s.append(k.Engine, entryID(kindResult, k), data)
 }
 
 // SaveSnapshot appends a snapshot payload under the key. The payload
@@ -210,7 +238,7 @@ func (s *Store) SaveSnapshot(k SnapKey, payload []byte) error {
 	if err := faultinject.Err("sim/store.savesnap"); err != nil {
 		return err
 	}
-	return s.append(k.Engine, kindSnap, encodeKey(k), payload, func(l loc) { s.indexSnap(k, l) })
+	return s.append(k.Engine, entryID(kindSnap, k), payload)
 }
 
 // LoadSnapshot returns the snapshot payload for the key. A missing
@@ -219,39 +247,19 @@ func (s *Store) SaveSnapshot(k SnapKey, payload []byte) error {
 // index like a bad result, so resume stops retrying a poisoned
 // position and a later run rewrites it.
 func (s *Store) LoadSnapshot(k SnapKey) ([]byte, bool) {
-	var buf []byte
-	return s.loadSnapshot(k, &buf)
-}
-
-// loadSnapshot is LoadSnapshot reading into *buf, which it grows as
-// needed; the payload aliases *buf.
-func (s *Store) loadSnapshot(k SnapKey, buf *[]byte) ([]byte, bool) {
 	if faultinject.Err("sim/store.loadsnap") != nil {
 		return nil, false
 	}
-	g := k.group()
-	l, ok := s.lookup(k.Engine, func() (loc, bool) { l, ok := s.snaps[g][k.Pos]; return l, ok })
-	if !ok {
-		return nil, false
-	}
-	data, ok := s.read(l, kindSnap, encodeKey(k), buf)
-	if !ok {
-		s.mu.Lock()
-		if s.snaps[g][k.Pos] == l {
-			delete(s.snaps[g], k.Pos)
-		}
-		s.mu.Unlock()
-		return nil, false
-	}
-	return data, true
+	return s.fetch(k.Engine, entryID(kindSnap, k), nil)
 }
 
 // HasSnapshot reports whether the index holds a snapshot for the key
 // (used to keep repeated saves idempotent).
 func (s *Store) HasSnapshot(k SnapKey) bool {
+	id := entryID(kindSnap, k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.snaps[k.group()][k.Pos]
+	_, ok := s.index[id]
 	return ok
 }
 
@@ -261,11 +269,12 @@ func (s *Store) HasSnapshot(k SnapKey) bool {
 // key's own Pos field is ignored. An empty group is a miss and
 // rescans other writers' segments first.
 func (s *Store) SnapshotPositions(k SnapKey) []int {
+	g, _, _ := snapGroup(entryID(kindSnap, k))
 	positions := func() []int {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		var out []int
-		for pos := range s.snaps[k.group()] {
+		for pos := range s.groups[g] {
 			out = append(out, pos)
 		}
 		sort.Sort(sort.Reverse(sort.IntSlice(out)))
@@ -278,20 +287,36 @@ func (s *Store) SnapshotPositions(k SnapKey) []int {
 	return positions()
 }
 
-// indexSnap indexes a snapshot frame. Callers hold mu.
-func (s *Store) indexSnap(k SnapKey, l loc) {
-	g := k.group()
-	if s.snaps[g] == nil {
-		s.snaps[g] = map[int]loc{}
+// put indexes the frame at l under the entry id. Callers hold mu.
+func (s *Store) put(id string, l loc) {
+	s.index[id] = l
+	if g, pos, ok := snapGroup(id); ok {
+		if s.groups[g] == nil {
+			s.groups[g] = map[int]bool{}
+		}
+		s.groups[g][pos] = true
 	}
-	s.snaps[g][k.Pos] = l
 }
 
-// lookup runs find under the index lock; on a miss it rescans the
-// version's segments of other writers and runs find again.
-func (s *Store) lookup(version int, find func() (loc, bool)) (loc, bool) {
+// drop removes the entry id from the index if it still points at the
+// frame at l.
+func (s *Store) drop(id string, l loc) {
 	s.mu.Lock()
-	l, ok := find()
+	defer s.mu.Unlock()
+	if s.index[id] != l {
+		return
+	}
+	delete(s.index, id)
+	if g, pos, ok := snapGroup(id); ok {
+		delete(s.groups[g], pos)
+	}
+}
+
+// lookup finds the entry id in the index; on a miss it rescans the
+// version's segments of other writers and looks again.
+func (s *Store) lookup(version int, id string) (loc, bool) {
+	s.mu.Lock()
+	l, ok := s.index[id]
 	s.mu.Unlock()
 	if ok {
 		return l, true
@@ -299,36 +324,64 @@ func (s *Store) lookup(version int, find func() (loc, bool)) (loc, bool) {
 	s.rescan(version)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return find()
+	l, ok = s.index[id]
+	return l, ok
 }
 
-// read re-reads the frame at l into *buf and returns its data if the
-// frame is intact and holds the given kind and exact key bytes.
-func (s *Store) read(l loc, kind byte, key []byte, buf *[]byte) ([]byte, bool) {
-	f, err := os.Open(l.path)
-	if err != nil {
-		return nil, false
-	}
-	defer f.Close()
-	if cap(*buf) < l.n {
-		*buf = make([]byte, l.n)
-	}
-	b := (*buf)[:l.n]
-	if _, err := f.ReadAt(b, l.off); err != nil {
-		return nil, false
-	}
-	payload, ok := frame.Parse(b)
+// fetch looks the entry id up and re-reads its frame, returning the
+// frame's data if the frame is intact, holds exactly the entry id, and
+// passes valid (when non-nil). A frame whose segment has gone — another
+// Store claimed it under a new name — is looked up again after a
+// rescan; a frame that fails is dropped from the index.
+func (s *Store) fetch(version int, id string, valid func([]byte) bool) ([]byte, bool) {
+	l, ok := s.lookup(version, id)
 	if !ok {
 		return nil, false
 	}
-	gotKind, gotKey, data, ok := splitEntry(payload)
-	if !ok || gotKind != kind || !bytes.Equal(gotKey, key) {
+	data, err := read(l, id)
+	if errors.Is(err, fs.ErrNotExist) {
+		s.rescan(version)
+		s.mu.Lock()
+		moved, ok := s.index[id]
+		s.mu.Unlock()
+		if ok && moved != l {
+			l = moved
+			data, err = read(l, id)
+		}
+	}
+	if err != nil || valid != nil && !valid(data) {
+		s.drop(id, l)
 		return nil, false
 	}
 	return data, true
 }
 
-// splitEntry splits a frame payload into kind, key JSON and data.
+// read re-reads the frame at l and returns its data if the frame is
+// intact and holds exactly the entry id.
+func read(l loc, id string) ([]byte, error) {
+	f, err := os.Open(l.path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	b := make([]byte, l.n)
+	if _, err := f.ReadAt(b, l.off); err != nil {
+		return nil, err
+	}
+	payload, ok := frame.Parse(b)
+	if !ok {
+		return nil, errBadFrame
+	}
+	kind, key, data, ok := splitEntry(payload)
+	if !ok || kind != id[0] || string(key) != id[1:] {
+		return nil, errBadFrame
+	}
+	return data, nil
+}
+
+// splitEntry splits a frame payload into kind, key encoding and data.
+// On a payload cut short after the key (a scan's head), data is what
+// is left of it.
 func splitEntry(p []byte) (kind byte, key, data []byte, ok bool) {
 	if len(p) < 5 {
 		return 0, nil, nil, false
@@ -341,53 +394,76 @@ func splitEntry(p []byte) (kind byte, key, data []byte, ok bool) {
 }
 
 // append writes one entry frame to this Store's segment of the
-// version in a single write, then indexes it with index (called under
-// the index lock). A failed write abandons the segment, whose tail may
-// now be torn; the next save starts a fresh one.
-func (s *Store) append(version int, kind byte, key, data []byte, index func(loc)) error {
-	if n := 5 + len(key) + len(data); n > maxEntry {
+// version in a single write, then indexes it. A failed write abandons
+// the segment, whose tail may now be torn; the next save starts
+// another. A segment that is gone because another Store claimed it is
+// no failure: the frame is written again to a new segment.
+func (s *Store) append(version int, id string, data []byte) error {
+	if len(id)-1 > maxKey {
+		return fmt.Errorf("sim: store key of %d bytes exceeds the %d-byte bound", len(id)-1, maxKey)
+	}
+	if n := 4 + len(id) + len(data); n > maxEntry {
 		return fmt.Errorf("sim: store entry of %d bytes exceeds the %d-byte bound", n, maxEntry)
 	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	seg := s.own[version]
-	if seg == nil {
-		var err error
-		if seg, err = s.newSegment(version); err != nil {
-			return err
-		}
-	}
 	buf := frame.Begin(s.buf[:0])
-	buf = append(buf, kind)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
-	buf = append(buf, key...)
+	buf = append(buf, id[0])
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(id)-1))
+	buf = append(buf, id[1:]...)
 	buf = append(buf, data...)
 	frame.End(buf, 0)
 	s.buf = buf
-	f, err := os.OpenFile(seg.path, os.O_WRONLY|os.O_APPEND, 0)
-	if err == nil {
-		_, err = f.Write(buf)
-		if cerr := f.Close(); err == nil {
-			err = cerr
+	for retried := false; ; retried = true {
+		seg := s.own[version]
+		if seg == nil {
+			var err error
+			if seg, err = s.newSegment(version); err != nil {
+				return err
+			}
 		}
-	}
-	if err != nil {
+		end, err := appendFile(seg.path, buf)
+		if err == nil {
+			s.mu.Lock()
+			seg.end = end
+			s.put(id, loc{path: seg.path, off: end - int64(len(buf)), n: len(buf)})
+			s.mu.Unlock()
+			return nil
+		}
 		delete(s.own, version)
 		s.mu.Lock()
 		seg.own = false
 		s.mu.Unlock()
-		return err
+		if retried || !errors.Is(err, fs.ErrNotExist) {
+			return err
+		}
 	}
-	l := loc{path: seg.path, off: seg.end, n: len(buf)}
-	s.mu.Lock()
-	seg.end += int64(len(buf))
-	index(l)
-	s.mu.Unlock()
-	return nil
 }
 
-// newSegment creates this Store's segment of the version. Callers
-// hold wmu.
+// appendFile appends b to the file at path in one write and returns
+// the file's size after it. The file is opened O_APPEND, so b lands at
+// the end even if another writer appended since this one last did,
+// and b starts at the returned size minus len(b).
+func appendFile(path string, b []byte) (int64, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return 0, err
+	}
+	_, err = f.Write(b)
+	end, serr := f.Seek(0, io.SeekCurrent)
+	if cerr := f.Close(); err == nil {
+		err = cmp.Or(serr, cerr)
+	}
+	return end, err
+}
+
+// newSegment starts this Store's segment of the version: an idle
+// segment if it can claim one, else a new, empty one. Claiming renames
+// the idle segment over a freshly created unique name, so of several
+// Stores racing for one segment exactly one rename succeeds, and the
+// losers keep their empty segment. The claimed segment is indexed, and
+// a torn tail is cut off so appends follow its last intact frame.
+// Callers hold wmu.
 func (s *Store) newSegment(version int) (*segment, error) {
 	dir := s.segDir(version)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -397,26 +473,41 @@ func (s *Store) newSegment(version int) (*segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := f.Close(); err != nil {
+	info, err := f.Stat()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return nil, err
 	}
 	seg := &segment{path: f.Name(), own: true}
+	// The new file's modification time is the file system's "now", so
+	// idleness never compares two clocks.
+	now := info.ModTime()
+	if idle := s.idleSegment(dir, now); idle != "" && os.Rename(idle, seg.path) == nil {
+		_ = os.Chtimes(seg.path, now, now) // busy again, not claimable
+		var size int64
+		if seg.end, size = s.indexFrom(seg.path, 0); seg.end < size {
+			_ = os.Truncate(seg.path, seg.end)
+		}
+		s.mu.Lock()
+		delete(s.segs, idle)
+		s.mu.Unlock()
+	}
 	s.own[version] = seg
 	s.mu.Lock()
-	s.segs[seg.path] = seg
+	s.segs[seg.path] = seg // over any entry a rescan made for the file
 	s.mu.Unlock()
 	return seg, nil
 }
 
-// rescan indexes the frames other writers appended to the version's
-// segments since the last scan.
-func (s *Store) rescan(version int) {
-	s.scanMu.Lock()
-	defer s.scanMu.Unlock()
-	dir := s.segDir(version)
+// idleSegment returns a segment of dir, other than this Store's own,
+// that no writer has appended to for claimAfter before now, or "" if
+// there is none.
+func (s *Store) idleSegment(dir string, now time.Time) string {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return
+		return ""
 	}
 	for _, e := range ents {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".seg") {
@@ -425,51 +516,87 @@ func (s *Store) rescan(version int) {
 		path := filepath.Join(dir, e.Name())
 		s.mu.Lock()
 		seg := s.segs[path]
+		mine := seg != nil && seg.own
 		s.mu.Unlock()
-		if seg == nil {
-			seg = &segment{path: path}
-		} else if seg.own {
-			continue
+		if info, err := e.Info(); err == nil && !mine && now.Sub(info.ModTime()) >= claimAfter {
+			return path
 		}
-		s.scan(seg)
 	}
+	return ""
 }
 
-// scan indexes the intact frames of a segment from seg.end up to its
-// first torn or corrupt frame. A frame that is intact but not a
-// well-formed entry (unknown kind, unparsable key) is skipped. Callers
-// hold scanMu.
-func (s *Store) scan(seg *segment) {
-	f, err := os.Open(seg.path)
+// rescan indexes the frames other writers appended to the version's
+// segments since the last scan, and forgets the segments that are gone.
+func (s *Store) rescan(version int) {
+	s.scanMu.Lock()
+	defer s.scanMu.Unlock()
+	dir := s.segDir(version)
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
+	listed := make(map[string]bool, len(ents))
+	for _, e := range ents {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".seg") {
+			continue
+		}
+		path := filepath.Join(dir, e.Name())
+		listed[path] = true
+		s.mu.Lock()
+		seg := s.segs[path]
+		if seg == nil {
+			seg = &segment{path: path}
+			s.segs[path] = seg
+		}
+		own, from := seg.own, seg.end
+		s.mu.Unlock()
+		if own {
+			continue
+		}
+		// One stat per segment; only a segment that grew is opened.
+		if info, err := e.Info(); err != nil || info.Size() <= from {
+			continue
+		}
+		end, _ := s.indexFrom(path, from)
+		s.mu.Lock()
+		seg.end = end
+		s.mu.Unlock()
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	maps.DeleteFunc(s.segs, func(path string, seg *segment) bool {
+		return !seg.own && filepath.Dir(path) == dir && !listed[path]
+	})
+}
+
+// indexFrom indexes the entry frames of the segment at path from off up
+// to its first short frame, reading frame headers and keys only (loads
+// check each frame's checksum), and returns the offset past the last
+// frame and the segment's size. A frame that is not a well-formed entry
+// (unknown kind, key length past the frame) is skipped; one whose key
+// is not a canonical key encoding is indexed under an id no lookup
+// asks for.
+func (s *Store) indexFrom(path string, off int64) (end, size int64) {
+	f, err := os.Open(path)
+	if err != nil {
+		return off, off
+	}
 	defer f.Close()
 	info, err := f.Stat()
-	if err != nil || info.Size() <= seg.end {
-		return
+	if err != nil {
+		return off, off
 	}
-	end, _ := frame.Scan(f, seg.end, info.Size(), maxEntry, func(off int64, p []byte) bool {
-		l := loc{path: seg.path, off: off, n: frame.HeaderSize + len(p)}
-		kind, key, _, ok := splitEntry(p)
-		var rk Key
-		var sk SnapKey
-		switch {
-		case ok && kind == kindResult && json.Unmarshal(key, &rk) == nil:
+	var id []byte
+	end, _ = frame.Walk(f, off, info.Size(), maxEntry, entryHead, func(at int64, n int, head []byte) bool {
+		if kind, key, _, ok := splitEntry(head); ok && (kind == kindResult || kind == kindSnap) {
+			id = append(append(id[:0], kind), key...)
 			s.mu.Lock()
-			s.results[rk] = l
-			s.mu.Unlock()
-		case ok && kind == kindSnap && json.Unmarshal(key, &sk) == nil:
-			s.mu.Lock()
-			s.indexSnap(sk, l)
+			s.put(string(id), loc{path: path, off: at, n: frame.HeaderSize + n})
 			s.mu.Unlock()
 		}
 		return true
 	})
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	seg.end = end
-	s.segs[seg.path] = seg
+	return end, info.Size()
 }
 
 // PruneStats reports what Prune removed.
@@ -489,7 +616,8 @@ type PruneStats struct {
 // snapshots under v<k>/, spilled streams under streams/v<k>/), entries
 // from the pre-versioned flat layout of engine versions ≤ 2, and the
 // current version's file-per-entry layout from before segments
-// (v<keep>/<2-hex>/ result files and v<keep>/snap/). Without pruning,
+// (v<keep>/<2-hex>/ result files and v<keep>/snap/, each only if its
+// contents match that layout). Without pruning,
 // every EngineVersion bump strands the previous version's entries on
 // disk forever. Callers pass EngineVersion. Concurrent engines writing
 // the current version are unaffected: its segments are never touched.
@@ -541,7 +669,7 @@ func (s *Store) Prune(keep int) (PruneStats, error) {
 			}
 			for _, sub := range subs {
 				p := filepath.Join(s.dir, name, sub.Name())
-				if sub.IsDir() && (sub.Name() == "snap" || isLegacyFanoutDir(p)) {
+				if sub.IsDir() && (isLegacySnapDir(p) || isLegacyFanoutDir(p)) {
 					rm(p)
 				}
 			}
@@ -578,20 +706,38 @@ func isLegacyFanoutDir(path string) bool {
 	if name := filepath.Base(path); len(name) != 2 || !isHex(name) {
 		return false
 	}
+	return holdsOnly(path, func(e fs.DirEntry) bool {
+		rest, ok := strings.CutSuffix(strings.TrimSuffix(e.Name(), ".bad"), ".json")
+		return !e.IsDir() && ok && len(rest) == 62 && isHex(rest)
+	})
+}
+
+// isLegacySnapDir reports whether path is the snapshot directory of the
+// file-per-entry layout, by the same kind of content check: snap/
+// holding only <64-hex-digit> group directories, each holding only
+// regular files named <pos>.snap, their quarantined .snap.bad copies,
+// or .tmp-* leftovers.
+func isLegacySnapDir(path string) bool {
+	return filepath.Base(path) == "snap" && holdsOnly(path, func(g fs.DirEntry) bool {
+		return g.IsDir() && len(g.Name()) == 64 && isHex(g.Name()) &&
+			holdsOnly(filepath.Join(path, g.Name()), func(e fs.DirEntry) bool {
+				pos, ok := strings.CutSuffix(strings.TrimSuffix(e.Name(), ".bad"), ".snap")
+				_, err := strconv.Atoi(pos)
+				return !e.IsDir() && ok && err == nil
+			})
+	})
+}
+
+// holdsOnly reports whether the directory at path can be read and each
+// of its entries is a .tmp-* leftover file or passes ok.
+func holdsOnly(path string, ok func(fs.DirEntry) bool) bool {
 	ents, err := os.ReadDir(path)
 	if err != nil {
 		return false
 	}
 	for _, e := range ents {
-		if e.IsDir() {
-			return false
-		}
-		name := e.Name()
-		if strings.HasPrefix(name, ".tmp-") {
-			continue
-		}
-		rest, ok := strings.CutSuffix(strings.TrimSuffix(name, ".bad"), ".json")
-		if !ok || len(rest) != 62 || !isHex(rest) {
+		leftover := !e.IsDir() && strings.HasPrefix(e.Name(), ".tmp-")
+		if !leftover && !ok(e) {
 			return false
 		}
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -11,13 +12,17 @@ import (
 )
 
 // FuzzStoreSegment feeds arbitrary bytes to the store as a segment
-// written by another process. Indexing it must not panic, must index
-// only intact frames whose stored key is the key they are indexed
-// under, and must not allocate past the frame bound: a corrupt length
-// field is checked against the bytes the segment holds before any
-// buffer is made. The seed corpus in testdata/fuzz/FuzzStoreSegment
-// holds a valid segment, one torn in its last frame, and one whose
-// first frame claims a huge length.
+// written by another process. Indexing it must not panic and must not
+// allocate past a fixed read window: a scan reads frame headers and
+// keys only, and a corrupt length field is checked against the bytes
+// the segment holds before anything is read. Every indexed entry must
+// lie inside the segment and be indexed under the entry id its frame
+// holds; and fetching it must serve exactly the frame's data when the
+// frame is intact and holds that id, and otherwise miss and drop the
+// entry from the index — a frame that fails its checksum is never
+// served. The seed corpus in testdata/fuzz/FuzzStoreSegment holds a
+// valid segment, one torn in its last frame, and one whose first frame
+// claims a huge length.
 func FuzzStoreSegment(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -33,38 +38,42 @@ func FuzzStoreSegment(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		s.rescan(EngineVersion)
 		runtime.ReadMemStats(&after)
-		// The scan's fixed buffers, the per-frame key decoding, and one
-		// payload buffer no larger than the segment.
+		// The scan's read window and the per-frame key decoding.
 		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+64*len(data)); alloc > limit {
 			t.Fatalf("scanning a %d-byte segment allocated %d bytes (limit %d)", len(data), alloc, limit)
 		}
-		intact := func(l loc, kind byte, isKey func([]byte) bool) {
-			t.Helper()
+		entries := map[string]loc{}
+		for id, l := range s.index {
+			entries[id] = l
+		}
+		for id, l := range entries {
 			if l.off < 0 || l.off+int64(l.n) > int64(len(data)) {
 				t.Fatalf("indexed frame %+v lies outside the %d-byte segment", l, len(data))
 			}
-			payload, ok := frame.Parse(data[l.off : l.off+int64(l.n)])
-			if !ok {
-				t.Fatalf("indexed a frame that fails its checks at offset %d", l.off)
+			b := data[l.off : l.off+int64(l.n)]
+			if kind, key, _, ok := splitEntry(b[frame.HeaderSize:]); !ok || string(kind)+string(key) != id {
+				t.Fatalf("frame at offset %d is indexed under %q, not its own entry id", l.off, id)
 			}
-			gotKind, key, _, ok := splitEntry(payload)
-			if !ok || gotKind != kind || !isKey(key) {
-				t.Fatalf("frame at offset %d is not the entry it is indexed as", l.off)
+			payload, intact := frame.Parse(b)
+			var want []byte
+			if intact {
+				_, key, rest, ok := splitEntry(payload)
+				if intact = ok && string(key) == id[1:]; intact {
+					want = rest
+				}
 			}
-		}
-		for k, l := range s.results {
-			intact(l, kindResult, func(b []byte) bool {
-				var got Key
-				return json.Unmarshal(b, &got) == nil && got == k
-			})
-			s.Load(k) // must not panic
-		}
-		for g, group := range s.snaps {
-			for pos, l := range group {
-				intact(l, kindSnap, func(b []byte) bool {
-					var got SnapKey
-					return json.Unmarshal(b, &got) == nil && got.group() == g && got.Pos == pos
-				})
+			got, hit := s.fetch(EngineVersion, id, nil)
+			if hit != intact || hit && !bytes.Equal(got, want) {
+				t.Fatalf("frame at offset %d (intact %v): fetch hit %v with %q, want %q", l.off, intact, hit, got, want)
+			}
+			if _, still := s.index[id]; !hit && still {
+				t.Fatalf("frame at offset %d missed but stayed indexed", l.off)
+			}
+			// Loads go through fetch; exercise Load's decoding of the
+			// data too.
+			var k Key
+			if id[0] == kindResult && json.Unmarshal([]byte(id[1:]), &k) == nil {
+				s.Load(k)
 			}
 		}
 	})

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/frame"
@@ -65,6 +68,31 @@ func TestStoreKeySensitivity(t *testing.T) {
 	}
 }
 
+// TestStoreSnapshotGroupIDs: a snapshot entry id splits into its group
+// id and position, keys differing only in Pos share the group id, and
+// a string field holding the position's field name cannot move the
+// split.
+func TestStoreSnapshotGroupIDs(t *testing.T) {
+	k := SnapKey{Engine: EngineVersion, Config: "c", Suite: "cbp4", Trace: `MM-4,"pos":7}`, Seed: 9, Pos: 25000}
+	g, pos, ok := snapGroup(entryID(kindSnap, k))
+	if !ok || pos != k.Pos {
+		t.Fatalf("snapGroup = %q, %d, %v; want position %d", g, pos, ok, k.Pos)
+	}
+	other := k
+	other.Pos = 50000
+	if g2, _, _ := snapGroup(entryID(kindSnap, other)); g2 != g {
+		t.Errorf("positions of one group split into %q and %q", g, g2)
+	}
+	other = k
+	other.Seed++
+	if g2, _, _ := snapGroup(entryID(kindSnap, other)); g2 == g {
+		t.Errorf("two seeds share the group id %q", g)
+	}
+	if _, _, ok := snapGroup(entryID(kindResult, testKey())); ok {
+		t.Error("a result id split as a snapshot id")
+	}
+}
+
 func TestStoreKeyEncodingUnambiguous(t *testing.T) {
 	// The old '|'-joined encoding collided these two keys, letting one
 	// entry overwrite the other's. The canonical encoding must keep
@@ -94,26 +122,22 @@ func TestStoreKeyEncodingUnambiguous(t *testing.T) {
 	}
 }
 
-// resultLoc returns the index entry of a result key.
-func resultLoc(t *testing.T, s *Store, k Key) loc {
-	t.Helper()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	l, ok := s.results[k]
-	if !ok {
-		t.Fatalf("key %+v not indexed", k)
+// id returns the entry id of a Key or SnapKey.
+func id(k any) string {
+	if _, ok := k.(SnapKey); ok {
+		return entryID(kindSnap, k)
 	}
-	return l
+	return entryID(kindResult, k)
 }
 
-// snapLoc returns the index entry of a snapshot key.
-func snapLoc(t *testing.T, s *Store, k SnapKey) loc {
+// indexed returns the index entry of a Key or SnapKey.
+func indexed(t *testing.T, s *Store, k any) loc {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	l, ok := s.snaps[k.group()][k.Pos]
+	l, ok := s.index[id(k)]
 	if !ok {
-		t.Fatalf("snapshot %+v not indexed", k)
+		t.Fatalf("key %+v not indexed", k)
 	}
 	return l
 }
@@ -175,7 +199,7 @@ func TestStoreRejectsCorruptEntry(t *testing.T) {
 	if err := s.Save(k, Result{Trace: "MM-4"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(resultLoc(t, s, k).path, []byte("{not json"), 0o644); err != nil {
+	if err := os.WriteFile(indexed(t, s, k).path, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Load(k); ok {
@@ -189,7 +213,7 @@ func dropped(t *testing.T, s *Store, k Key) {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.results[k]; ok {
+	if _, ok := s.index[id(k)]; ok {
 		t.Fatalf("bad frame of %+v still indexed", k)
 	}
 }
@@ -203,13 +227,14 @@ func TestStoreQuarantinesGarbageEntry(t *testing.T) {
 	if err := s.Save(k, Result{Trace: "MM-4"}); err != nil {
 		t.Fatal(err)
 	}
-	l := resultLoc(t, s, k)
+	l := indexed(t, s, k)
 	flipByte(t, l, l.n-2)
 	if _, ok := s.Load(k); ok {
 		t.Fatal("frame with a flipped byte served as a hit")
 	}
 	dropped(t, s, k)
-	// A fresh Store scanning the segment stops at the bad frame too.
+	// A fresh Store indexes the bad frame from its header and drops it
+	// at its first load too.
 	if _, ok := OpenStore(s.Dir()).Load(k); ok {
 		t.Fatal("fresh Store served the corrupt frame")
 	}
@@ -236,7 +261,7 @@ func TestStoreQuarantinesKeyMismatch(t *testing.T) {
 	// key stored in the frame disagrees, so Load must drop rather than
 	// trust it.
 	s.mu.Lock()
-	s.results[b] = s.results[a]
+	s.index[id(b)] = s.index[id(a)]
 	s.mu.Unlock()
 	if _, ok := s.Load(b); ok {
 		t.Fatal("key-mismatched frame served as a hit")
@@ -263,7 +288,7 @@ func TestStoreSegmentTruncatedMidFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	torn := resultLoc(t, w1, keys[2])
+	torn := indexed(t, w1, keys[2])
 	if err := os.Truncate(torn.path, torn.off+int64(torn.n)/2); err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +321,7 @@ func TestStoreFaultPoints(t *testing.T) {
 	if _, ok := s.Load(k); ok {
 		t.Fatal("Load hit through an injected fault")
 	}
-	resultLoc(t, s, k)
+	indexed(t, s, k)
 	if got, ok := s.Load(k); !ok || got != want {
 		t.Fatalf("Load after fault window = %+v, %v; want %+v", got, ok, want)
 	}
@@ -481,6 +506,195 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	}
 }
 
+// TestStoreFailedSaveRacesRescan: a save that fails — abandoning the
+// Store's segment — while other goroutines rescan the same Store, and
+// a new segment created while they do. Under -race this checks that
+// rescans read a segment's fields under the index lock, and afterwards
+// that a rescan never replaced the Store's own segment in its table.
+func TestStoreFailedSaveRacesRescan(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		s := OpenStore(t.TempDir())
+		k := testKey()
+		if err := s.Save(k, Result{Trace: "MM-4"}); err != nil {
+			t.Fatal(err)
+		}
+		// A link to a directory in place of the segment file: the next
+		// append fails with an error other than a missing file, while
+		// rescans still list the segment.
+		path := indexed(t, s, k).path
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Symlink(t.TempDir(), path); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		var scans atomic.Int64
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-done:
+						return
+					default:
+						s.rescan(EngineVersion)
+						scans.Add(1)
+					}
+				}
+			}()
+		}
+		for scans.Load() < 10 {
+			runtime.Gosched()
+		}
+		k.Shard++
+		if err := s.Save(k, Result{Trace: "MM-4"}); err == nil {
+			t.Fatal("Save into a directory succeeded")
+		}
+		if err := s.Save(k, Result{Trace: "MM-4", Mispredicted: 1}); err != nil {
+			t.Fatal(err)
+		}
+		for n := scans.Load(); scans.Load() < n+10; {
+			runtime.Gosched()
+		}
+		close(done)
+		wg.Wait()
+		s.wmu.Lock()
+		own := s.own[EngineVersion]
+		s.wmu.Unlock()
+		s.mu.Lock()
+		seg := s.segs[own.path]
+		s.mu.Unlock()
+		if seg != own || !seg.own {
+			t.Fatalf("round %d: a rescan replaced the Store's own segment", round)
+		}
+		if got, ok := s.Load(k); !ok || got.Mispredicted != 1 {
+			t.Fatalf("round %d: Load after recovery = %+v, %v", round, got, ok)
+		}
+	}
+}
+
+// age makes a segment look idle for longer than claimAfter.
+func age(t *testing.T, path string) {
+	t.Helper()
+	old := time.Now().Add(-2 * claimAfter)
+	if err := os.Chtimes(path, old, old); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// segments lists the segment files of the current engine version.
+func segments(t *testing.T, s *Store) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(s.segDir(EngineVersion), "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
+}
+
+// TestStoreClaimsIdleSegment: a Store that starts writing claims a
+// segment idle for claimAfter instead of adding one, so sequential
+// writers share one segment. The previous writer, still alive, keeps
+// loading its entries through the rename and writes on in a new
+// segment.
+func TestStoreClaimsIdleSegment(t *testing.T) {
+	dir := t.TempDir()
+	a := OpenStore(dir)
+	ka, kb := testKey(), testKey()
+	kb.Shard++
+	if err := a.Save(ka, Result{Trace: "MM-4", Mispredicted: 1}); err != nil {
+		t.Fatal(err)
+	}
+	sk := SnapKey{Engine: EngineVersion, Config: "c", Trace: "MM-4", Pos: 100}
+	if err := a.SaveSnapshot(sk, []byte("state")); err != nil {
+		t.Fatal(err)
+	}
+	age(t, segments(t, a)[0])
+
+	b := OpenStore(dir)
+	if err := b.Save(kb, Result{Trace: "MM-4", Mispredicted: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if segs := segments(t, b); len(segs) != 1 {
+		t.Fatalf("after a claim: %d segments, want 1", len(segs))
+	}
+	// b indexed what it claimed without a miss.
+	if !b.HasSnapshot(sk) || indexed(t, b, ka).path != indexed(t, b, kb).path {
+		t.Fatal("claimed frames not indexed in the claimed segment")
+	}
+	// a's index points at the old name: its loads find the frames again.
+	if got, ok := a.Load(ka); !ok || got.Mispredicted != 1 {
+		t.Fatalf("a.Load(own entry) after the claim = %+v, %v", got, ok)
+	}
+	if got, ok := a.LoadSnapshot(sk); !ok || string(got) != "state" {
+		t.Fatalf("a.LoadSnapshot after the claim = %q, %v", got, ok)
+	}
+	// a's next append finds its segment gone and writes a new one.
+	kc := testKey()
+	kc.Shard += 2
+	if err := a.Save(kc, Result{Trace: "MM-4", Mispredicted: 3}); err != nil {
+		t.Fatalf("Save after losing the segment: %v", err)
+	}
+	if segs := segments(t, a); len(segs) != 2 {
+		t.Fatalf("after a's new segment: %d segments, want 2", len(segs))
+	}
+	r := OpenStore(dir)
+	for _, k := range []Key{ka, kb, kc} {
+		if got, ok := r.Load(k); !ok || got.Mispredicted != uint64(k.Shard-2) {
+			t.Errorf("fresh Store: Load(shard %d) = %+v, %v", k.Shard, got, ok)
+		}
+	}
+	// A segment written within claimAfter is not claimed.
+	if err := OpenStore(dir).Save(testKey(), Result{}); err != nil {
+		t.Fatal(err)
+	}
+	if segs := segments(t, a); len(segs) != 3 {
+		t.Fatalf("busy segments claimed: %d segments, want 3", len(segs))
+	}
+}
+
+// TestStoreClaimCutsTornTail: a claimed segment whose last frame is
+// torn is cut back to its last intact frame before the claimant
+// appends, so the claimant's frames are not hidden behind the tear.
+func TestStoreClaimCutsTornTail(t *testing.T) {
+	dir := t.TempDir()
+	a := OpenStore(dir)
+	keys := make([]Key, 3)
+	for i := range keys {
+		keys[i] = testKey()
+		keys[i].Shard = i
+	}
+	for _, k := range keys[:2] {
+		if err := a.Save(k, Result{Trace: "MM-4", Mispredicted: uint64(k.Shard)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	torn := indexed(t, a, keys[1])
+	if err := os.Truncate(torn.path, torn.off+int64(torn.n)-1); err != nil {
+		t.Fatal(err)
+	}
+	age(t, torn.path)
+	if err := OpenStore(dir).Save(keys[2], Result{Trace: "MM-4", Mispredicted: 2}); err != nil {
+		t.Fatal(err)
+	}
+	segs := segments(t, a)
+	if len(segs) != 1 {
+		t.Fatalf("%d segments, want the claimed one", len(segs))
+	}
+	if info, err := os.Stat(segs[0]); err != nil || info.Size() != torn.off+int64(torn.n) {
+		t.Fatalf("claimed segment: %v, %v; want the torn frame replaced by one of the same size", info, err)
+	}
+	r := OpenStore(dir)
+	for _, k := range keys {
+		if _, ok := r.Load(k); ok != (k.Shard != 1) {
+			t.Errorf("shard %d: hit %v, want %v", k.Shard, ok, k.Shard != 1)
+		}
+	}
+}
+
 // TestStoreQuarantinesBadSnapshots: a snapshot frame that fails its
 // checks is a miss and leaves the index, so SnapshotPositions stops
 // offering the position and resume stops probing it.
@@ -505,7 +719,7 @@ func TestStoreQuarantinesBadSnapshots(t *testing.T) {
 			if err := s.SaveSnapshot(k, payload); err != nil {
 				t.Fatal(err)
 			}
-			corrupt(t, snapLoc(t, s, k))
+			corrupt(t, indexed(t, s, k))
 			if _, ok := s.LoadSnapshot(k); ok {
 				t.Fatal("corrupt snapshot served as a hit")
 			}
@@ -532,7 +746,7 @@ func TestStoreQuarantinesBadSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	s.indexSnap(other, s.snaps[k.group()][k.Pos])
+	s.put(id(other), s.index[id(k)])
 	s.mu.Unlock()
 	if _, ok := s.LoadSnapshot(other); ok {
 		t.Fatal("key-mismatched snapshot served as a hit")
